@@ -34,7 +34,6 @@ from .oracle import Discrepancy, ValidationReport, oracle_strong_relations, vali
 from .sat import (
     SatEngine,
     SatOutcome,
-    SolverLike,
     Status,
     enumerate_models,
     solve_under_assumptions,
@@ -80,7 +79,6 @@ __all__ = [
     "Overlap",
     "SatEngine",
     "SatOutcome",
-    "SolverLike",
     "StatsSummary",
     "Status",
     "StrongGraphs",

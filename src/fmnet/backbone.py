@@ -12,11 +12,11 @@ one test per variable instead of one per candidate polarity.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .cnf import CnfFormula
 from .errors import VoidModelError
-from .sat import SatEngine, SolverLike, Status
+from .sat import SatEngine, Status
 
 
 @dataclass(frozen=True)
@@ -47,21 +47,16 @@ class Backbone:
 def compute_backbone(
     formula: CnfFormula,
     assumptions: Sequence[int] = (),
-    *,
-    engine_factory: Callable[[CnfFormula], SolverLike] = SatEngine,
-    candidate_order: Sequence[int] | None = None,
 ) -> Backbone:
     """Backbone of ``formula`` conjoined with the assumption literals.
 
     Raises VoidModelError when that conjunction is unsatisfiable. Assumption
     literals hold in every remaining model by construction, so they join the
-    backbone without being tested. ``candidate_order`` overrides the default
-    ascending variable order; the result is the same for any order, only the
-    call count can differ.
+    backbone without being tested.
     """
     if formula.trivially_unsat:
         raise VoidModelError("formula contains the empty clause")
-    engine = engine_factory(formula)
+    engine = SatEngine(formula)
     assumptions = tuple(assumptions)
     outcome = engine.solve(assumptions)
     if outcome.status is Status.UNSAT:
@@ -79,10 +74,7 @@ def compute_backbone(
         backbone.add(lit)
         candidates.pop(abs(lit), None)
 
-    order = list(candidate_order) if candidate_order is not None else sorted(candidates)
-    remaining = set(candidates)
-    for var in order:
-        remaining.discard(var)
+    for var in sorted(candidates):
         lit = candidates.pop(var, None)
         if lit is None:
             continue
@@ -95,7 +87,5 @@ def compute_backbone(
         for other in [w for w, cand in candidates.items()
                       if cand != (w if model[w] else -w)]:
             del candidates[other]
-    if remaining:
-        raise ValueError(f"candidate_order missed variables {sorted(remaining)}")
 
     return Backbone(frozenset(backbone), sat_calls=engine.num_solve_calls)

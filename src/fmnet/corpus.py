@@ -165,7 +165,6 @@ def analyze_model(
     threshold_pct: float = DEFAULT_THRESHOLD_PCT,
     out_dir: str | Path | None = None,
     model_id: str | None = None,
-    jobs: int = 1,
 ) -> tuple[ModelMetrics, StrongGraphs]:
     """Analyze one model file; optionally write its artifact directory."""
     path = Path(path)
@@ -174,7 +173,7 @@ def analyze_model(
     if model_id is None:
         model_id = path.stem
     formula = load_formula(path, fmt)
-    graphs = compute_strong_graphs(formula, jobs=jobs)
+    graphs = compute_strong_graphs(formula)
     metrics = compute_model_metrics(graphs, threshold_pct, model_id)
     if out_dir is not None:
         write_model_artifacts(Path(out_dir), metrics, graphs)

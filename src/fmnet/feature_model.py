@@ -16,7 +16,8 @@ indented deeper than the previous feature line becomes its child. Group
 lines declare their members inline; members are leaf features. A
 ``constraint`` line holds a boolean expression over feature names built
 from ``!``, ``&``, ``|``, ``=>`` and parentheses, and may appear at any
-indentation; constraints are global either way.
+indentation; constraints are global either way. A constraint nests at most
+``MAX_CONSTRAINT_DEPTH`` levels deep, counting parentheses and operators.
 
 Encoding: one variable per feature, numbered by preorder traversal of the
 tree. Clauses are the usual tree semantics (root always selected, child
@@ -32,13 +33,19 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Iterator, Union
+from typing import Callable, Iterator, Union
 
 from .cnf import Clause, CnfFormula, normalize_clause
 from .errors import ConstraintError, DialectError
 
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 _TOKEN_RE = re.compile(r"\s*(=>|[!&|()]|[A-Za-z_][A-Za-z0-9_]*)")
+
+# Bounds the parser's descent (parentheses, '!', '=>') and the height of the
+# parsed tree, which the recursive walkers below descend. Nested parentheses,
+# the costliest case at six frames a level, need ~620 of Python's 1000.
+MAX_CONSTRAINT_DEPTH = 100
+_TOO_DEEP = f"constraint nests deeper than {MAX_CONSTRAINT_DEPTH} levels"
 
 
 # ---- constraint expressions ----
@@ -92,6 +99,7 @@ class _ExprParser:
             self._tokens.append(match.group(1))
             pos = match.end()
         self._index = 0
+        self._depth = 0
 
     def parse(self) -> Expr:
         expr = self._implication()
@@ -99,6 +107,16 @@ class _ExprParser:
             raise DialectError(
                 f"unexpected token {self._tokens[self._index]!r} in constraint", self._line
             )
+        if _height(expr) > MAX_CONSTRAINT_DEPTH:
+            raise DialectError(_TOO_DEEP, self._line)
+        return expr
+
+    def _nested(self, parse: Callable[[], Expr]) -> Expr:
+        self._depth += 1
+        if self._depth > MAX_CONSTRAINT_DEPTH:
+            raise DialectError(_TOO_DEEP, self._line)
+        expr = parse()
+        self._depth -= 1
         return expr
 
     def _peek(self) -> str | None:
@@ -115,7 +133,7 @@ class _ExprParser:
         left = self._disjunction()
         if self._peek() == "=>":
             self._take()
-            return Implies(left, self._implication())
+            return Implies(left, self._nested(self._implication))
         return left
 
     def _disjunction(self) -> Expr:
@@ -135,19 +153,32 @@ class _ExprParser:
     def _negation(self) -> Expr:
         if self._peek() == "!":
             self._take()
-            return Not(self._negation())
+            return Not(self._nested(self._negation))
         return self._atom()
 
     def _atom(self) -> Expr:
         token = self._take()
         if token == "(":
-            expr = self._implication()
+            expr = self._nested(self._implication)
             if self._take() != ")":
                 raise DialectError("missing closing parenthesis in constraint", self._line)
             return expr
         if _NAME_RE.match(token):
             return Var(token)
         raise DialectError(f"unexpected token {token!r} in constraint", self._line)
+
+
+def _height(expr: Expr) -> int:
+    """Operators on the longest root-to-leaf path, found without recursion."""
+    height, stack = 0, [(expr, 0)]
+    while stack:
+        node, depth = stack.pop()
+        height = max(height, depth)
+        if isinstance(node, Not):
+            stack.append((node.operand, depth + 1))
+        elif not isinstance(node, Var):
+            stack += [(node.left, depth + 1), (node.right, depth + 1)]
+    return height
 
 
 # ---- the model ----

@@ -10,10 +10,6 @@ Everything here is deterministic: same formula, same call sequence, same
 answer, including the returned model. Only the SAT/UNSAT status is part of
 the semantic contract; which model comes back is an implementation detail
 that tests must not rely on beyond "it satisfies the formula".
-
-Any object with ``num_vars``, ``solve(assumptions)`` and ``add_clause``
-can stand in for SatEngine (see SolverLike); that is the seam for plugging
-in an external incremental solver.
 """
 
 from __future__ import annotations
@@ -21,7 +17,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Iterable, Iterator, Protocol, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .cnf import CnfFormula, normalize_clause
 from .errors import EnumerationLimitError
@@ -61,16 +57,6 @@ class SatOutcome:
         if self.model is None:
             raise ValueError("UNSAT outcome has no model")
         return frozenset(v if self.model[v] else -v for v in range(1, len(self.model)))
-
-
-class SolverLike(Protocol):
-    """Adapter seam for swapping in another incremental solver."""
-
-    num_vars: int
-
-    def solve(self, assumptions: Sequence[int] = ()) -> SatOutcome: ...
-
-    def add_clause(self, literals: Iterable[int]) -> None: ...
 
 
 def _luby(i: int) -> int:

@@ -21,10 +21,9 @@ from __future__ import annotations
 
 import enum
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
-
-import numpy as np
 
 
 class Alternative(enum.Enum):
@@ -70,40 +69,51 @@ def effect_label(r: float) -> str:
     return "large"
 
 
-def _nearest_rank(sorted_values: np.ndarray, quantile: float) -> float:
+def _nearest_rank(sorted_values: Sequence[float], quantile: float) -> float:
     n = len(sorted_values)
     rank = math.ceil(quantile * n)
     rank = min(max(rank, 1), n)
-    return float(sorted_values[rank - 1])
+    return sorted_values[rank - 1]
 
 
 def median_and_coverage(values: Sequence[float]) -> StatsSummary:
     """Median plus the 95% nearest-rank coverage interval."""
     if len(values) == 0:
         raise ValueError("cannot summarize an empty sample")
-    data = np.asarray(values, dtype=float)
-    ordered = np.sort(data)
+    ordered = sorted(float(v) for v in values)
+    n = len(ordered)
+    half = n // 2
     return StatsSummary(
-        n=len(ordered),
-        median=float(np.median(ordered)),
+        n=n,
+        median=ordered[half] if n % 2 else (ordered[half - 1] + ordered[half]) / 2,
         ci_low=_nearest_rank(ordered, 0.025),
         ci_high=_nearest_rank(ordered, 0.975),
     )
 
 
-def average_ranks(values: Sequence[float]) -> np.ndarray:
+def average_ranks(values: Sequence[float]) -> list[float]:
     """1-based ranks; tied values share the mean of their positions."""
-    data = np.asarray(values, dtype=float)
-    order = np.argsort(data, kind="stable")
-    ranks = np.empty(len(data), dtype=float)
+    data = [float(v) for v in values]
+    order = sorted(range(len(data)), key=data.__getitem__)
+    ranks = [0.0] * len(data)
     i = 0
     while i < len(data):
         j = i
         while j + 1 < len(data) and data[order[j + 1]] == data[order[i]]:
             j += 1
-        ranks[order[i:j + 1]] = (i + j) / 2 + 1
+        for k in order[i:j + 1]:
+            ranks[k] = (i + j) / 2 + 1
         i = j + 1
     return ranks
+
+
+def _dot(u: Sequence[float], v: Sequence[float]) -> float:
+    # Left to right on purpose: sum() of floats is compensated from Python
+    # 3.12 on, which would change the last bits between versions.
+    total = 0.0
+    for a, b in zip(u, v):
+        total += a * b
+    return total
 
 
 def spearman_rho(x: Sequence[float], y: Sequence[float]) -> float | None:
@@ -114,12 +124,14 @@ def spearman_rho(x: Sequence[float], y: Sequence[float]) -> float | None:
         return None
     rx = average_ranks(x)
     ry = average_ranks(y)
-    dx = rx - rx.mean()
-    dy = ry - ry.mean()
-    denominator = math.sqrt(float(dx @ dx) * float(dy @ dy))
+    mean_x = sum(rx) / len(rx)
+    mean_y = sum(ry) / len(ry)
+    dx = [r - mean_x for r in rx]
+    dy = [r - mean_y for r in ry]
+    denominator = math.sqrt(_dot(dx, dx) * _dot(dy, dy))
     if denominator == 0.0:
         return None
-    return float(dx @ dy) / denominator
+    return _dot(dx, dy) / denominator
 
 
 def _normal_sf(z: float) -> float:
@@ -143,8 +155,8 @@ def wilcoxon_signed_rank(
     if len(a) == 0:
         raise ValueError("cannot test empty samples")
 
-    differences = np.asarray(a, dtype=float) - np.asarray(b, dtype=float)
-    nonzero = differences[differences != 0.0]
+    differences = [float(x) - float(y) for x, y in zip(a, b)]
+    nonzero = [d for d in differences if d != 0.0]
     n = len(nonzero)
     if n == 0:
         return WilcoxonResult(
@@ -153,12 +165,13 @@ def wilcoxon_signed_rank(
             degenerate=True,
         )
 
-    ranks = average_ranks(np.abs(nonzero))
-    w = float(ranks[nonzero > 0].sum())
+    magnitudes = [abs(d) for d in nonzero]
+    ranks = average_ranks(magnitudes)
+    w = float(sum(rank for rank, d in zip(ranks, nonzero) if d > 0))
     mean = n * (n + 1) / 4.0
     variance = n * (n + 1) * (2 * n + 1) / 24.0
-    _, tie_counts = np.unique(np.abs(nonzero), return_counts=True)
-    variance -= float(((tie_counts ** 3) - tie_counts).sum()) / 48.0
+    tie_counts = Counter(magnitudes).values()
+    variance -= float(sum(t ** 3 - t for t in tie_counts)) / 48.0
     sigma = math.sqrt(variance)
 
     if alternative is Alternative.A_GREATER:

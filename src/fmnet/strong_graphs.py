@@ -12,9 +12,7 @@ symmetric and collapse to undirected edges.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Mapping
 
 from .backbone import compute_backbone
@@ -86,20 +84,12 @@ def _relations_for(
     )
 
 
-def _relations_chunk(
-    formula: CnfFormula, base_literals: frozenset[int], chunk: list[int]
-) -> list[tuple[int, StrongRelations]]:
-    return [(v, _relations_for(formula, base_literals, v)) for v in chunk]
-
-
 def extract_strong_relations(
-    formula: CnfFormula, *, jobs: int = 1
+    formula: CnfFormula,
 ) -> tuple[FeatureClassification, dict[int, StrongRelations]]:
     """Classify features and compute per-feature strong relations.
 
-    Raises VoidModelError for an unsatisfiable formula. ``jobs`` > 1 spreads
-    the per-feature backbone computations over worker processes; results are
-    merged back in feature order, so the output does not depend on it.
+    Raises VoidModelError for an unsatisfiable formula.
     """
     base = compute_backbone(formula)
     core = frozenset(lit for lit in base.literals if lit > 0)
@@ -109,18 +99,7 @@ def extract_strong_relations(
         num_vars=formula.num_vars, core=core, dead=dead, configurable=configurable
     )
 
-    order = sorted(configurable)
-    if jobs > 1 and len(order) > 1:
-        workers = min(jobs, len(order))
-        chunks = [order[i::workers] for i in range(workers)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = pool.map(
-                _relations_chunk, repeat(formula), repeat(base.literals), chunks
-            )
-        merged = dict(pair for chunk_result in results for pair in chunk_result)
-        relations = {v: merged[v] for v in order}
-    else:
-        relations = {v: _relations_for(formula, base.literals, v) for v in order}
+    relations = {v: _relations_for(formula, base.literals, v) for v in sorted(configurable)}
     return classification, relations
 
 
@@ -150,7 +129,7 @@ def build_strong_graphs(
     )
 
 
-def compute_strong_graphs(formula: CnfFormula, *, jobs: int = 1) -> StrongGraphs:
+def compute_strong_graphs(formula: CnfFormula) -> StrongGraphs:
     """Full pipeline from formula to graphs, keeping the formula's names."""
-    classification, relations = extract_strong_relations(formula, jobs=jobs)
+    classification, relations = extract_strong_relations(formula)
     return build_strong_graphs(classification, relations, names=formula.names)

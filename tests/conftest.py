@@ -136,7 +136,7 @@ def random_satisfiable_cnf(
 
 
 def average_ranks_reference(values) -> list[float]:
-    # Plain-python rank helper, independent of the package's numpy one.
+    # Reference rank helper, written independently of fmnet.stats.average_ranks.
     order = sorted(range(len(values)), key=lambda i: values[i])
     ranks = [0.0] * len(values)
     i = 0

@@ -60,23 +60,6 @@ class TestComputeBackbone:
         backbone = compute_backbone(formula, (-2, -3))
         assert backbone.literals == frozenset({1, -2, -3})
 
-    def test_candidate_order_changes_nothing(self):
-        rng = random.Random(31)
-        for _ in range(30):
-            formula = random_satisfiable_cnf(rng, rng.randint(2, 10), rng.uniform(1.5, 3.5))
-            default = compute_backbone(formula)
-            order = list(range(1, formula.num_vars + 1))
-            rng.shuffle(order)
-            shuffled = compute_backbone(formula, candidate_order=order)
-            assert default == shuffled
-
-    def test_candidate_order_must_cover_candidates(self):
-        formula = CnfFormula(num_vars=3, clauses=((1, 2, 3),))
-        with pytest.raises(ValueError, match="missed variables"):
-            compute_backbone(formula, candidate_order=[1, 2])
-        # Assumed variables are not candidates, so they may be omitted.
-        compute_backbone(formula, (1,), candidate_order=[2, 3])
-
     def test_agrees_with_truth_table(self):
         rng = random.Random(777)
         for _ in range(200):

@@ -57,6 +57,15 @@ class TestAnalyze:
         path.write_text(VOID_DIMACS, "utf-8")
         assert cli.main(["analyze", str(path)]) == cli.EXIT_VOID_MODEL
 
+    def test_deep_constraint_is_input_error(self, tmp_path, capsys):
+        path = tmp_path / "deep.fm"
+        path.write_text(
+            "feature R\n    optional A\n    constraint " + "(" * 198 + "A" + ")" * 198 + "\n",
+            "utf-8",
+        )
+        assert cli.main(["analyze", str(path)]) == cli.EXIT_INPUT_ERROR
+        assert "line 3: constraint nests deeper than" in capsys.readouterr().err
+
 
 class TestCorpus:
     def test_corpus_run(self, fixture_file, tmp_path, capsys):

@@ -26,6 +26,10 @@ SMALL_DIMACS = "c 1 ONE\nc 2 TWO\np cnf 3 2\n1 2 0\n-1 -2 0\n"
 
 VOID_FM = "feature R\n    constraint !R\n"
 
+# A flat 997-operand disjunction: the parser loops, but the tree it builds
+# is 996 levels deep.
+DEEP_FM = "feature R\n    optional A\n    constraint " + " | ".join(["A"] * 997) + "\n"
+
 
 def write_corpus(tmp_path, rows):
     lines = ["id,path,format,domain"]
@@ -179,6 +183,20 @@ class TestAnalyzeCorpus:
         assert {f.model_id for f in result.failures} == {"void", "broken"}
         for failure in result.failures:
             assert failure.error
+
+    def test_deep_constraint_is_one_failure(self, tmp_path):
+        (tmp_path / "a.fm").write_text(SMALL_FM, "utf-8")
+        (tmp_path / "deep.fm").write_text(DEEP_FM, "utf-8")
+        (tmp_path / "b.cnf").write_text(SMALL_DIMACS, "utf-8")
+        manifest = write_corpus(tmp_path, [
+            ("a", "a.fm", "fm", "systems"),
+            ("deep", "deep.fm", "fm", "systems"),
+            ("b", "b.cnf", "dimacs", "systems"),
+        ])
+        result = analyze_corpus(load_manifest(manifest))
+        assert [r.model_id for r in result.records] == ["a", "b"]
+        assert [f.model_id for f in result.failures] == ["deep"]
+        assert "line 3: constraint nests deeper than" in result.failures[0].error
 
     def test_domain_stats_and_tests(self, tmp_path):
         result = analyze_corpus(load_manifest(self.build(tmp_path)))

@@ -5,6 +5,7 @@ import pytest
 from conftest import tt_model_count, tt_models, truth_table_mask
 from fmnet.errors import ConstraintError, DialectError
 from fmnet.feature_model import (
+    MAX_CONSTRAINT_DEPTH,
     And,
     Implies,
     Not,
@@ -69,6 +70,34 @@ class TestExpressionParsing:
     def test_bad_character(self):
         with pytest.raises(DialectError, match="bad character"):
             self.constraint_of("A + B")
+
+
+def nested_constraint(shape, depth):
+    """A constraint over A that nests ``depth`` levels in the given shape."""
+    if shape == "parentheses":
+        return "(" * depth + "A" + ")" * depth
+    if shape == "negations":
+        return "!" * depth + "A"
+    operator = {"implications": " => ", "conjunctions": " & ", "disjunctions": " | "}[shape]
+    return operator.join(["A"] * (depth + 1))
+
+
+NESTING_SHAPES = ("parentheses", "negations", "implications", "conjunctions", "disjunctions")
+
+
+class TestNestingLimit:
+    @pytest.mark.parametrize("shape", NESTING_SHAPES)
+    def test_constraint_at_the_limit_encodes(self, shape):
+        text = nested_constraint(shape, MAX_CONSTRAINT_DEPTH)
+        formula = parse_fm_to_cnf(f"feature R\n    optional A\n    constraint {text}\n")
+        assert formula.num_vars == 2
+
+    @pytest.mark.parametrize("depth", [MAX_CONSTRAINT_DEPTH + 1, 1000])
+    @pytest.mark.parametrize("shape", NESTING_SHAPES)
+    def test_deeper_constraint_is_a_dialect_error(self, shape, depth):
+        text = nested_constraint(shape, depth)
+        with pytest.raises(DialectError, match="line 3: constraint nests deeper than"):
+            parse_fm(f"feature R\n    optional A\n    constraint {text}\n")
 
 
 class TestParseFm:

@@ -6,6 +6,8 @@ import pytest
 from conftest import average_ranks_reference, exact_wilcoxon_p
 from fmnet.stats import (
     Alternative,
+    StatsSummary,
+    WilcoxonResult,
     average_ranks,
     effect_label,
     median_and_coverage,
@@ -263,3 +265,48 @@ class TestSummarizeMetric:
         base = median_and_coverage(values)
         assert (summary.n, summary.median) == (base.n, base.median)
         assert (summary.ci_low, summary.ci_high) == (base.ci_low, base.ci_high)
+
+
+class TestPinnedBits:
+    """Exact values recorded from the numpy implementation this module
+    replaced, on seeded samples with ties; any drift in the last bit fails."""
+
+    @pytest.fixture
+    def samples(self):
+        rng = random.Random(20240611)
+        n = 160
+        a = [rng.randint(0, 24) / 8 for _ in range(n)]
+        b = [rng.randint(0, 24) / 8 for _ in range(n)]
+        sizes = [float(rng.randint(20, 90)) for _ in range(n)]
+        c = [rng.randint(0, 999) / 7 for _ in range(n)]
+        return a, b, sizes, c
+
+    def test_spearman_rho(self, samples):
+        a, b, sizes, c = samples
+        assert spearman_rho(a, b) == 0.10066332606798921
+        assert spearman_rho(c, sizes) == -0.06807975487112852
+
+    def test_summarize_metric(self, samples):
+        a, _, sizes, c = samples
+        assert summarize_metric(a, sizes) == StatsSummary(
+            n=160, median=1.375, ci_low=0.0, ci_high=3.0, rho=0.012094998317925237
+        )
+        assert summarize_metric(c, a) == StatsSummary(
+            n=160, median=63.5, ci_low=5.285714285714286,
+            ci_high=131.57142857142858, rho=-0.25595071193812036,
+        )
+
+    def test_wilcoxon_signed_rank(self, samples):
+        a, b, _, _ = samples
+        assert wilcoxon_signed_rank(a, b, Alternative.A_GREATER) == WilcoxonResult(
+            n_pairs=160, n_effective=149, w_statistic=5776.5,
+            z_value=0.35740345487620945, p_value=0.3603948953569209,
+            effect_size_r=0.029279631873837732, effect_label="negligible",
+            degenerate=False,
+        )
+        assert wilcoxon_signed_rank(a, b, Alternative.B_GREATER) == WilcoxonResult(
+            n_pairs=160, n_effective=149, w_statistic=5776.5,
+            z_value=0.3592994944246244, p_value=0.6403144737463138,
+            effect_size_r=0.029434961485900534, effect_label="negligible",
+            degenerate=False,
+        )

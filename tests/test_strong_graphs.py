@@ -65,14 +65,6 @@ class TestExtraction:
             assert classification == tt_classification
             assert relations == tt_relations
 
-    def test_parallel_extraction_matches_serial(self):
-        rng = random.Random(8)
-        for _ in range(5):
-            formula = random_satisfiable_cnf(rng, rng.randint(6, 12), rng.uniform(1.5, 3.0))
-            assert extract_strong_relations(formula) == extract_strong_relations(
-                formula, jobs=4
-            )
-
 
 class TestBuildStrongGraphs:
     def test_nodes_are_configurable(self):
