@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import json
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import repeat
@@ -285,6 +286,10 @@ def _analyze_entry(
         )
     except (FmnetError, OSError, ValueError) as error:
         return entry.model_id, None, str(error)
+    except Exception as error:  # a fault in one model must not sink the run
+        frame = traceback.extract_tb(error.__traceback__)[-1]
+        where = f"{Path(frame.filename).name}:{frame.lineno}"
+        return entry.model_id, None, f"{type(error).__name__} at {where}: {error}"
     return entry.model_id, _record_from(metrics, entry.domain), None
 
 
@@ -294,8 +299,9 @@ def analyze_corpus(
     jobs: int = 1,
     out_dir: str | Path | None = None,
 ) -> CorpusResult:
-    """Analyze every manifest entry; parse or void-model failures are
-    tallied per model, never fatal for the run."""
+    """Analyze every manifest entry; a model that fails to parse, is void
+    or raises any other exception is tallied as that model's failure, never
+    fatal for the run."""
     out_str = str(out_dir) if out_dir is not None else None
     if jobs > 1 and len(manifest.entries) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:

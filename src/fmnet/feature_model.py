@@ -397,6 +397,9 @@ def fm_to_cnf(model: FeatureModel) -> CnfFormula:
                     for b in members[i + 1:]:
                         push([-a, -b])
     for constraint in model.constraints:
+        # A model built in code skips the parser's bound; _expr_clauses recurses.
+        if _height(constraint.expression) > MAX_CONSTRAINT_DEPTH:
+            raise DialectError(_TOO_DEEP, constraint.line)
         for raw in _expr_clauses(constraint.expression, index, False, constraint):
             push(raw)
 

@@ -136,15 +136,43 @@ class SatEngine:
         self._watches[lits[0]].append(cid)
         self._watches[lits[1]].append(cid)
 
+    def implied_literals(self, assumptions: Sequence[int]) -> list[int] | None:
+        """Literals that unit propagation alone derives from the assumptions.
+
+        Returns the signed literals assigned above the root level, the
+        assumptions included, in the order they were assigned; None when
+        propagation runs into a conflict. Literals already fixed at the root
+        are not listed. Nothing is decided or learned, and the engine is
+        left at level 0.
+        """
+        assumption_codes = self._assumption_codes(assumptions)
+        if not self._ok:
+            return None
+        self._cancel_until(0)
+        if self._propagate() is not None:
+            self._ok = False
+            return None
+        for code in assumption_codes:
+            value = self._values[code >> 1] ^ (code & 1)
+            if value == _TRUE:
+                continue
+            if value == _FALSE:
+                self._cancel_until(0)
+                return None
+            self._trail_lim.append(len(self._trail))
+            self._assign(code, -1)
+            if self._propagate() is not None:
+                self._cancel_until(0)
+                return None
+        bound = self._trail_lim[0] if self._trail_lim else len(self._trail)
+        implied = [-(code >> 1) if code & 1 else code >> 1 for code in self._trail[bound:]]
+        self._cancel_until(0)
+        return implied
+
     def solve(self, assumptions: Sequence[int] = ()) -> SatOutcome:
         """Decide satisfiability of the clauses under the given assumptions."""
         self.num_solve_calls += 1
-        assumption_codes = []
-        for lit in assumptions:
-            var = abs(lit)
-            if not isinstance(lit, int) or lit == 0 or var > self.num_vars:
-                raise ValueError(f"assumption {lit} out of range 1..{self.num_vars}")
-            assumption_codes.append((var << 1) | (lit < 0))
+        assumption_codes = self._assumption_codes(assumptions)
         if not self._ok:
             return SatOutcome(Status.UNSAT)
 
@@ -197,6 +225,15 @@ class SatEngine:
             self._assign(code, -1)
 
     # ---- internals ----
+
+    def _assumption_codes(self, assumptions: Sequence[int]) -> list[int]:
+        codes = []
+        for lit in assumptions:
+            var = abs(lit)
+            if not isinstance(lit, int) or lit == 0 or var > self.num_vars:
+                raise ValueError(f"assumption {lit} out of range 1..{self.num_vars}")
+            codes.append((var << 1) | (lit < 0))
+        return codes
 
     def _assign(self, code: int, reason: int) -> None:
         var = code >> 1

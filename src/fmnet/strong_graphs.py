@@ -1,22 +1,31 @@
 """Strong dependency and conflict graphs of a variability model.
 
 A feature is core when it appears in every configuration and dead when it
-appears in none; both follow from the backbone of the model's formula. For
-each remaining (configurable) feature v, conditioning the formula on v and
-recomputing the backbone reveals what selecting v forces: newly positive
-backbone literals are strong dependencies of v, newly negative ones are
-strong conflicts. Dependencies form a directed graph that is transitively
-closed by construction (a backbone is deductively closed); conflicts are
-symmetric and collapse to undirected edges.
+appears in none; both follow from the backbone of the model's formula. A
+remaining (configurable) feature v strongly depends on g when every
+configuration selecting v selects g, and strongly conflicts with g when none
+selects both. Dependencies form a directed graph that is transitively closed
+by construction (entailment is); conflicts are symmetric and collapse to
+undirected edges.
+
+All candidate pairs of one model are settled on one incremental solver,
+each by the cheapest route that works. Every configuration the solver
+returns is a witness: it refutes the open dependencies of each feature it
+selects on the features it leaves out, and the open conflicts with the
+features it selects too. Unit propagation from v alone confirms every
+relation it derives. Only the pairs left after both get a query of their
+own, v with not-g for a dependency and v with g for a conflict, which is
+unsatisfiable exactly when the relation holds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterator, Mapping
 
 from .backbone import compute_backbone
 from .cnf import CnfFormula
+from .sat import SatEngine, Status
 
 Arc = tuple[int, int]
 
@@ -73,15 +82,12 @@ class StrongGraphs:
         return self.names.get(var, f"v{var}")
 
 
-def _relations_for(
-    formula: CnfFormula, base_literals: frozenset[int], var: int
-) -> StrongRelations:
-    conditioned = compute_backbone(formula, (var,))
-    new_literals = conditioned.literals - base_literals
-    return StrongRelations(
-        depends_on=frozenset(lit for lit in new_literals if lit > 0 and lit != var),
-        conflicts_with=frozenset(-lit for lit in new_literals if lit < 0),
-    )
+def _members(mask: int) -> Iterator[int]:
+    """Variables whose bit is set in ``mask`` (bit v stands for variable v)."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def extract_strong_relations(
@@ -99,7 +105,62 @@ def extract_strong_relations(
         num_vars=formula.num_vars, core=core, dead=dead, configurable=configurable
     )
 
-    relations = {v: _relations_for(formula, base.literals, v) for v in sorted(configurable)}
+    order = sorted(configurable)
+    everyone = sum(1 << v for v in order)
+    # Bitmasks per feature: relations still open, and relations proven.
+    open_deps = {v: everyone & ~(1 << v) for v in order}
+    open_conflicts = dict(open_deps)
+    deps = dict.fromkeys(order, 0)
+    conflicts = dict.fromkeys(order, 0)
+    engine = SatEngine(formula)
+
+    def witness(model: tuple[bool, ...]) -> None:
+        selected = [v for v in order if model[v]]
+        mask = sum(1 << v for v in selected)
+        for v in selected:
+            open_deps[v] &= mask
+            open_conflicts[v] &= ~mask
+
+    def confirm_conflict(v: int, g: int) -> None:
+        # Symmetric: proven for g as well, which spares g's query.
+        conflicts[v] |= 1 << g
+        conflicts[g] |= 1 << v
+        open_conflicts[v] &= ~(1 << g)
+        open_conflicts[g] &= ~(1 << v)
+
+    for v in order:
+        if open_deps[v] or open_conflicts[v]:
+            # Never None: v is configurable, so propagating it cannot conflict.
+            for lit in engine.implied_literals((v,)) or ():
+                bit = 1 << abs(lit)
+                if lit > 0 and open_deps[v] & bit:
+                    deps[v] |= bit
+                    open_deps[v] &= ~bit
+                elif lit < 0 and open_conflicts[v] & bit:
+                    confirm_conflict(v, -lit)
+        for g in _members(open_deps[v]):
+            if open_deps[v] >> g & 1:
+                outcome = engine.solve((v, -g))
+                if outcome.status is Status.UNSAT:
+                    deps[v] |= 1 << g
+                    open_deps[v] &= ~(1 << g)
+                else:
+                    witness(outcome.model)
+        for g in _members(open_conflicts[v]):
+            if open_conflicts[v] >> g & 1:
+                outcome = engine.solve((v, g))
+                if outcome.status is Status.UNSAT:
+                    confirm_conflict(v, g)
+                else:
+                    witness(outcome.model)
+
+    relations = {
+        v: StrongRelations(
+            depends_on=frozenset(_members(deps[v])),
+            conflicts_with=frozenset(_members(conflicts[v])),
+        )
+        for v in order
+    }
     return classification, relations
 
 

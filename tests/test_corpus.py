@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+import fmnet.corpus
 from fmnet.corpus import (
     analyze_corpus,
     analyze_model,
@@ -197,6 +198,24 @@ class TestAnalyzeCorpus:
         assert [r.model_id for r in result.records] == ["a", "b"]
         assert [f.model_id for f in result.failures] == ["deep"]
         assert "line 3: constraint nests deeper than" in result.failures[0].error
+
+    def test_unexpected_exception_is_one_failure(self, tmp_path, monkeypatch):
+        real = fmnet.corpus.analyze_model
+
+        def faulty(path, *args, **kwargs):
+            if path.name == "c.fm":
+                raise RuntimeError("solver fault")
+            return real(path, *args, **kwargs)
+
+        monkeypatch.setattr(fmnet.corpus, "analyze_model", faulty)
+        result = analyze_corpus(load_manifest(self.build(tmp_path)), jobs=1)
+        assert [r.model_id for r in result.records] == ["a", "b"]
+        assert [f.model_id for f in result.failures] == ["c", "void", "broken"]
+        fault = result.failures[0].error
+        assert fault.startswith("RuntimeError at test_corpus.py:")
+        assert fault.endswith(": solver fault")
+        # Types caught before keep their plain message.
+        assert "unsatisfiable" in result.failures[1].error
 
     def test_domain_stats_and_tests(self, tmp_path):
         result = analyze_corpus(load_manifest(self.build(tmp_path)))

@@ -7,6 +7,9 @@ from fmnet.errors import ConstraintError, DialectError
 from fmnet.feature_model import (
     MAX_CONSTRAINT_DEPTH,
     And,
+    Constraint,
+    Feature,
+    FeatureModel,
     Implies,
     Not,
     Or,
@@ -98,6 +101,25 @@ class TestNestingLimit:
         text = nested_constraint(shape, depth)
         with pytest.raises(DialectError, match="line 3: constraint nests deeper than"):
             parse_fm(f"feature R\n    optional A\n    constraint {text}\n")
+
+    @staticmethod
+    def built_model(depth):
+        """A model built in code, not parsed: an ``And`` chain over A."""
+        expr = Var("A")
+        for _ in range(depth):
+            expr = And(expr, Var("A"))
+        root = Feature("R", children=[Feature("A")])
+        return FeatureModel(root, [Constraint(expr, "A & ... & A", 3)])
+
+    def test_built_constraint_at_the_limit_encodes(self):
+        formula = fm_to_cnf(self.built_model(MAX_CONSTRAINT_DEPTH))
+        assert formula.num_vars == 2
+        assert (2,) in formula.clauses
+
+    @pytest.mark.parametrize("depth", [MAX_CONSTRAINT_DEPTH + 1, 3000])
+    def test_deeper_built_constraint_is_a_dialect_error(self, depth):
+        with pytest.raises(DialectError, match="line 3: constraint nests deeper than"):
+            fm_to_cnf(self.built_model(depth))
 
 
 class TestParseFm:

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import random_cnf, tt_model_count, tt_models, truth_table_mask
+from conftest import random_cnf, tt_model_count, tt_models, truth_table_mask, variable_column
 from fmnet.cnf import CnfFormula
 from fmnet.errors import EnumerationLimitError
 from fmnet.sat import (
@@ -73,6 +73,8 @@ class TestSolve:
             engine.solve((3,))
         with pytest.raises(ValueError, match="assumption"):
             engine.solve((0,))
+        with pytest.raises(ValueError, match="assumption"):
+            engine.implied_literals((3,))
 
     def test_solve_call_counter(self):
         engine = SatEngine(CnfFormula(num_vars=1, clauses=((1,),)))
@@ -138,6 +140,65 @@ class TestSolve:
             assert (outcome.status is Status.SAT) == expected_sat
             if expected_sat:
                 assert all(outcome.model[abs(a)] == (a > 0) for a in assumptions)
+
+
+class TestImpliedLiterals:
+    def test_chain_above_the_root(self):
+        # 4 is fixed at the root, so it is not listed.
+        formula = CnfFormula(num_vars=4, clauses=((-1, 2), (-2, 3), (4,)))
+        engine = SatEngine(formula)
+        assert engine.implied_literals((1,)) == [1, 2, 3]
+        assert engine.implied_literals((3,)) == [3]
+        assert engine.implied_literals((4,)) == []
+        assert engine.implied_literals((-3,)) == [-3, -2, -1]
+
+    def test_conflict_returns_none(self):
+        formula = CnfFormula(num_vars=2, clauses=((-1, 2), (-1, -2)))
+        engine = SatEngine(formula)
+        assert engine.implied_literals((1,)) is None
+        assert engine.implied_literals((2, -2)) is None
+        assert engine.solve().status is Status.SAT
+        assert engine.solve((1,)).status is Status.UNSAT
+        assert engine.num_solve_calls == 2
+
+    def test_sound_against_truth_table(self):
+        # Every literal returned holds in every model of the formula under
+        # the assumptions; None comes back only when there is no such model.
+        # Afterwards the engine answers as a fresh one does.
+        rng = random.Random(1313)
+        implied_seen = none_seen = 0
+        for _ in range(300):
+            num_vars = rng.randint(1, 12)
+            formula = random_cnf(rng, num_vars, rng.uniform(1.0, 4.5), width=rng.choice((2, 3)))
+            engine = SatEngine(formula)
+            for _ in range(3):
+                picked = rng.sample(range(1, num_vars + 1), rng.randint(1, min(3, num_vars)))
+                assumptions = tuple(v if rng.random() < 0.5 else -v for v in picked)
+                conditioned = CnfFormula(
+                    num_vars=num_vars,
+                    clauses=formula.clauses + tuple((a,) for a in assumptions),
+                )
+                mask = truth_table_mask(conditioned)
+                implied = engine.implied_literals(assumptions)
+                if implied is None:
+                    none_seen += 1
+                    assert mask == 0
+                    continue
+                implied_seen += 1
+                assert len(set(implied)) == len(implied)
+                full = (1 << (1 << num_vars)) - 1
+                for lit in implied:
+                    column = variable_column(num_vars, abs(lit))
+                    holds = column if lit > 0 else ~column & full
+                    assert mask & ~holds == 0
+            probe_vars = rng.sample(range(1, num_vars + 1), min(2, num_vars))
+            probe = tuple(v if rng.random() < 0.5 else -v for v in probe_vars)
+            for assumptions in ((), probe):
+                outcome = engine.solve(assumptions)
+                assert outcome.status is SatEngine(formula).solve(assumptions).status
+                if outcome.status is Status.SAT:
+                    assert satisfies(outcome.model, formula)
+        assert implied_seen > 100 and none_seen > 20
 
 
 class TestEnumerateModels:

@@ -5,6 +5,7 @@ import pytest
 from conftest import random_cnf, random_satisfiable_cnf, tt_strong_relations, truth_table_mask
 from fmnet.cnf import CnfFormula
 from fmnet.errors import VoidModelError
+from fmnet.sat import SatEngine, Status
 from fmnet.strong_graphs import (
     FeatureClassification,
     StrongRelations,
@@ -64,6 +65,82 @@ class TestExtraction:
             tt_classification, tt_relations = tt_strong_relations(formula)
             assert classification == tt_classification
             assert relations == tt_relations
+
+
+@pytest.fixture
+def pair_queries(monkeypatch):
+    """Two-literal solver queries made while the test runs, with their answers."""
+    made = []
+    solve = SatEngine.solve
+
+    def recording(self, assumptions=()):
+        outcome = solve(self, assumptions)
+        if len(assumptions) == 2:
+            made.append((tuple(assumptions), outcome.status))
+        return outcome
+
+    monkeypatch.setattr(SatEngine, "solve", recording)
+    return made
+
+
+class TestExtractionRoutes:
+    def test_arc_settled_by_a_query(self, pair_queries):
+        # v => a | b, a => g, b => g: v forces g, but only through a case
+        # split that unit propagation from v alone does not make.
+        v, a, b, g = 1, 2, 3, 4
+        formula = CnfFormula(num_vars=4, clauses=((-v, a, b), (-a, g), (-b, g)))
+        assert g not in SatEngine(formula).implied_literals((v,))
+        _, relations = extract_strong_relations(formula)
+        assert relations[v].depends_on == frozenset({g})
+        assert ((v, -g), Status.UNSAT) in pair_queries
+
+    def test_conflict_settled_by_a_query(self, pair_queries):
+        # v => a | b, a => !g, b => !g: v excludes g through a case split.
+        v, a, b, g = 1, 2, 3, 4
+        formula = CnfFormula(num_vars=4, clauses=((-v, a, b), (-a, -g), (-b, -g)))
+        assert -g not in SatEngine(formula).implied_literals((v,))
+        _, relations = extract_strong_relations(formula)
+        assert relations[v].conflicts_with == frozenset({g})
+        assert relations[g].conflicts_with == frozenset({v, a, b})
+        assert ((v, g), Status.UNSAT) in pair_queries
+
+    def test_propagated_relations_need_no_query(self, pair_queries):
+        # 3 => 2 => 1 and 3 => !4: binary clauses, so every relation that
+        # holds follows from unit propagation and every query is a refutation.
+        formula = CnfFormula(num_vars=4, clauses=((-2, 1), (-3, 2), (-3, -4)))
+        graphs = compute_strong_graphs(formula)
+        assert graphs.dep_arcs == frozenset({(2, 1), (3, 1), (3, 2)})
+        assert graphs.conflict_edges == frozenset({(3, 4)})
+        assert pair_queries
+        assert all(status is Status.SAT for _, status in pair_queries)
+
+    def test_witnesses_prune_across_features(self, pair_queries):
+        # n free features: all 2n(n-1) candidate relations are refuted, by
+        # a number of queries that grows linearly, not with the pairs.
+        n = 20
+        _, relations = extract_strong_relations(CnfFormula(num_vars=n, clauses=()))
+        assert all(rel == StrongRelations(frozenset(), frozenset()) for rel in relations.values())
+        assert len(pair_queries) <= 2 * n
+
+    @pytest.mark.parametrize("num_vars", [1, 6, 30])
+    def test_two_engines_whatever_the_feature_count(self, monkeypatch, num_vars):
+        # One engine for the base backbone, one for every pair of the model.
+        built = []
+        init = SatEngine.__init__
+
+        def counting(self, formula):
+            built.append(formula)
+            init(self, formula)
+
+        monkeypatch.setattr(SatEngine, "__init__", counting)
+        # Every feature requires 1, and features 2k and 2k+1 exclude each
+        # other: every feature is configurable.
+        requires = tuple((-v, 1) for v in range(2, num_vars + 1))
+        excludes = tuple((-v, -(v + 1)) for v in range(2, num_vars, 2))
+        formula = CnfFormula(num_vars=num_vars, clauses=requires + excludes)
+        classification, _ = extract_strong_relations(formula)
+        assert len(classification.configurable) == num_vars
+        assert len(built) == 2
 
 
 class TestBuildStrongGraphs:
