@@ -2,13 +2,14 @@
 
 The backbone is the set of literals fixed in every satisfying assignment.
 This script parses a small named CNF, enumerates all of its models to show
-the backbone really is the intersection, then conditions on an assumption
-and watches forced literals appear.
+the backbone really is the intersection, then asks the extractor what
+selecting one configurable feature forces on or off.
 """
 
 from fmnet.backbone import compute_backbone
 from fmnet.cnf import parse_dimacs
-from fmnet.sat import enumerate_models
+from fmnet.sat import SatEngine, enumerate_models
+from fmnet.strong_graphs import extract_strong_relations
 
 TEXT = """\
 c 1 ROOT
@@ -41,7 +42,7 @@ def main() -> None:
         row = [formula.name_of(v) for v in formula.variables() if model[v]]
         print(f"  {{{', '.join(row)}}}")
 
-    backbone = compute_backbone(formula)
+    backbone = compute_backbone(SatEngine(formula))
     print(f"\nbackbone: {show(formula, backbone.literals)}")
     print(f"found with {backbone.sat_calls} solver calls "
           f"(budget is variables + 1 = {formula.num_vars + 1})")
@@ -51,11 +52,17 @@ def main() -> None:
         assert all(model[abs(lit)] is (lit > 0) for model in models)
     print("cross-checked against the enumeration: consistent")
 
-    # force EXTRA on and the picture tightens
-    conditioned = compute_backbone(formula, assumptions=(3,))
-    print(f"\nbackbone with EXTRA forced on: {show(formula, conditioned.literals)}")
-    gained = conditioned.literals - backbone.literals
-    print(f"newly forced: {show(formula, gained)}")
+    # what selecting EXTRA forces beyond the backbone
+    classification, relations = extract_strong_relations(formula)
+    print(f"\nconfigurable: {show(formula, classification.configurable)}")
+    extra = relations[3]
+    print(f"EXTRA depends_on: {show(formula, extra.depends_on)}")
+    print(f"EXTRA conflicts_with: {show(formula, extra.conflicts_with)}")
+    for model in models:
+        if model[3]:
+            assert all(model[g] for g in extra.depends_on)
+            assert not any(model[g] for g in extra.conflicts_with)
+    print("every assignment selecting EXTRA agrees")
 
 
 if __name__ == "__main__":

@@ -2,10 +2,10 @@
 
 The pipeline: parse a model (DIMACS CNF or the feature-model dialect),
 classify features as core, dead or configurable via the formula backbone,
-condition on each configurable feature to find what it strongly requires
-and excludes, then study the resulting graphs with degree metrics and
-corpus-level statistics. A model-enumeration oracle and a sampling
-validator double-check every artifact.
+settle on the same incremental solver what each configurable feature
+strongly requires and excludes, then study the resulting graphs with
+degree metrics and corpus-level statistics. A model-enumeration oracle and
+a sampling validator double-check every artifact.
 """
 
 from .backbone import Backbone, compute_backbone
@@ -31,13 +31,7 @@ from .metrics import (
     degree_distribution,
 )
 from .oracle import Discrepancy, ValidationReport, oracle_strong_relations, validate_model
-from .sat import (
-    SatEngine,
-    SatOutcome,
-    Status,
-    enumerate_models,
-    solve_under_assumptions,
-)
+from .sat import SatEngine, SatOutcome, Status, enumerate_models
 from .stats import (
     Alternative,
     StatsSummary,
@@ -105,7 +99,6 @@ __all__ = [
     "parse_dimacs",
     "parse_fm",
     "parse_fm_to_cnf",
-    "solve_under_assumptions",
     "spearman_rho",
     "summarize_metric",
     "validate_model",

@@ -7,85 +7,68 @@ call either confirms a candidate (UNSAT with the candidate negated) or
 yields a fresh model whose disagreements with the candidate set are all
 dropped at once. That intersection step is what keeps the call count at
 one test per variable instead of one per candidate polarity.
+
+The search runs on the caller's engine, so whatever the engine learns
+stays with it, and the models it finds are handed back for the caller to
+reuse.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
-from .cnf import CnfFormula
 from .errors import VoidModelError
 from .sat import SatEngine, Status
 
 
 @dataclass(frozen=True)
 class Backbone:
-    """Literals true in every model of the formula (under the assumptions).
+    """Literals true in every model of the formula.
 
-    ``sat_calls`` is bookkeeping for budget checks and does not take part
-    in equality.
+    ``sat_calls`` (the solves the computation made) and ``models`` (the
+    models it found, each the mask of its selected variables, bit v for
+    variable v) are by-products and do not take part in equality.
     """
 
     literals: frozenset[int]
     sat_calls: int = field(default=0, compare=False)
+    models: tuple[int, ...] = field(default=(), compare=False)
 
     def __post_init__(self):
         variables = [abs(lit) for lit in self.literals]
         if len(set(variables)) != len(variables):
             raise ValueError("backbone contains both polarities of a variable")
 
-    def polarity_of(self, var: int) -> int | None:
-        """+1, -1 or None for a variable's backbone polarity."""
-        if var in self.literals:
-            return 1
-        if -var in self.literals:
-            return -1
-        return None
 
+def compute_backbone(engine: SatEngine) -> Backbone:
+    """Backbone of the formula ``engine`` was built from.
 
-def compute_backbone(
-    formula: CnfFormula,
-    assumptions: Sequence[int] = (),
-) -> Backbone:
-    """Backbone of ``formula`` conjoined with the assumption literals.
-
-    Raises VoidModelError when that conjunction is unsatisfiable. Assumption
-    literals hold in every remaining model by construction, so they join the
-    backbone without being tested.
+    Raises VoidModelError when the formula is unsatisfiable.
     """
-    if formula.trivially_unsat:
-        raise VoidModelError("formula contains the empty clause")
-    engine = SatEngine(formula)
-    assumptions = tuple(assumptions)
-    outcome = engine.solve(assumptions)
+    calls_before = engine.num_solve_calls
+    outcome = engine.solve()
     if outcome.status is Status.UNSAT:
-        if assumptions:
-            raise VoidModelError(f"unsatisfiable under assumptions {sorted(assumptions)}")
         raise VoidModelError("formula is unsatisfiable")
 
-    model = outcome.model
-    assert model is not None
-    candidates: dict[int, int] = {
-        v: (v if model[v] else -v) for v in range(1, formula.num_vars + 1)
-    }
+    models = [sum(1 << v for v, value in enumerate(outcome.model) if value)]
+    first = models[0]
+    # Variables whose first-model literal every model so far agrees with.
+    open_vars = (1 << (engine.num_vars + 1)) - 2
     backbone: set[int] = set()
-    for lit in assumptions:
-        backbone.add(lit)
-        candidates.pop(abs(lit), None)
-
-    for var in sorted(candidates):
-        lit = candidates.pop(var, None)
-        if lit is None:
+    for var in range(1, engine.num_vars + 1):
+        if not open_vars >> var & 1:
             continue
-        outcome = engine.solve(assumptions + (-lit,))
+        lit = var if first >> var & 1 else -var
+        outcome = engine.solve((-lit,))
         if outcome.status is Status.UNSAT:
             backbone.add(lit)
             continue
-        model = outcome.model
-        assert model is not None
-        for other in [w for w, cand in candidates.items()
-                      if cand != (w if model[w] else -w)]:
-            del candidates[other]
+        mask = sum(1 << v for v, value in enumerate(outcome.model) if value)
+        models.append(mask)
+        open_vars &= ~(mask ^ first)
 
-    return Backbone(frozenset(backbone), sat_calls=engine.num_solve_calls)
+    return Backbone(
+        frozenset(backbone),
+        sat_calls=engine.num_solve_calls - calls_before,
+        models=tuple(models),
+    )

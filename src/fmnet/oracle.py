@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .cnf import CnfFormula
 from .errors import VoidModelError
-from .sat import SatEngine, Status
+from .sat import SatEngine, Status, enumerate_models
 from .strong_graphs import FeatureClassification, StrongGraphs, StrongRelations
 
 _PARTIAL_ABSENCE_CAP = 10
@@ -34,8 +34,6 @@ def oracle_strong_relations(
     configurable feature depends on whatever is true in all models selecting
     it and conflicts with whatever is true in none of them.
     """
-    from .sat import enumerate_models  # local import keeps module load light
-
     n = formula.num_vars
     full_mask = (1 << n) - 1
     count = 0

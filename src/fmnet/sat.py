@@ -52,12 +52,6 @@ class SatOutcome:
         if (self.status is Status.SAT) != (self.model is not None):
             raise ValueError("model must be present exactly for SAT outcomes")
 
-    def literals(self) -> frozenset[int]:
-        """The model as a set of signed literals, one per variable."""
-        if self.model is None:
-            raise ValueError("UNSAT outcome has no model")
-        return frozenset(v if self.model[v] else -v for v in range(1, len(self.model)))
-
 
 def _luby(i: int) -> int:
     """The i-th term (1-based) of the Luby restart sequence."""
@@ -379,13 +373,6 @@ class SatEngine:
 
     def _decay_activity(self) -> None:
         self._activity_inc *= _ACTIVITY_DECAY
-
-
-def solve_under_assumptions(
-    formula: CnfFormula, assumptions: Sequence[int] = ()
-) -> SatOutcome:
-    """One-shot satisfiability check with assumption literals."""
-    return SatEngine(formula).solve(assumptions)
 
 
 def enumerate_models(

@@ -8,14 +8,15 @@ selects both. Dependencies form a directed graph that is transitively closed
 by construction (entailment is); conflicts are symmetric and collapse to
 undirected edges.
 
-All candidate pairs of one model are settled on one incremental solver,
-each by the cheapest route that works. Every configuration the solver
-returns is a witness: it refutes the open dependencies of each feature it
-selects on the features it leaves out, and the open conflicts with the
-features it selects too. Unit propagation from v alone confirms every
-relation it derives. Only the pairs left after both get a query of their
-own, v with not-g for a dependency and v with g for a conflict, which is
-unsatisfiable exactly when the relation holds.
+One incremental solver serves a whole model: it finds the backbone first
+and then settles every candidate pair, each by the cheapest route that
+works. Every configuration the solver returns, the backbone's included, is
+a witness: it refutes the open dependencies of each feature it selects on
+the features it leaves out, and the open conflicts with the features it
+selects too. Unit propagation from v alone confirms every relation it
+derives. Only the pairs left after both get a query of their own, v with
+not-g for a dependency and v with g for a conflict, which is unsatisfiable
+exactly when the relation holds.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from typing import Iterator, Mapping
 
 from .backbone import compute_backbone
 from .cnf import CnfFormula
+from .errors import VoidModelError
 from .sat import SatEngine, Status
 
 Arc = tuple[int, int]
@@ -97,7 +99,10 @@ def extract_strong_relations(
 
     Raises VoidModelError for an unsatisfiable formula.
     """
-    base = compute_backbone(formula)
+    if formula.trivially_unsat:
+        raise VoidModelError("formula contains the empty clause")
+    engine = SatEngine(formula)
+    base = compute_backbone(engine)
     core = frozenset(lit for lit in base.literals if lit > 0)
     dead = frozenset(-lit for lit in base.literals if lit < 0)
     configurable = frozenset(set(formula.variables()) - core - dead)
@@ -112,12 +117,13 @@ def extract_strong_relations(
     open_conflicts = dict(open_deps)
     deps = dict.fromkeys(order, 0)
     conflicts = dict.fromkeys(order, 0)
-    engine = SatEngine(formula)
 
-    def witness(model: tuple[bool, ...]) -> None:
-        selected = [v for v in order if model[v]]
-        mask = sum(1 << v for v in selected)
-        for v in selected:
+    def selected(model: tuple[bool, ...]) -> int:
+        return sum(1 << w for w in order if model[w])
+
+    def witness(mask: int) -> None:
+        # ``mask`` holds the configuration's selected variables.
+        for v in _members(mask & everyone):
             open_deps[v] &= mask
             open_conflicts[v] &= ~mask
 
@@ -128,6 +134,8 @@ def extract_strong_relations(
         open_conflicts[v] &= ~(1 << g)
         open_conflicts[g] &= ~(1 << v)
 
+    for mask in base.models:
+        witness(mask)
     for v in order:
         if open_deps[v] or open_conflicts[v]:
             # Never None: v is configurable, so propagating it cannot conflict.
@@ -145,14 +153,14 @@ def extract_strong_relations(
                     deps[v] |= 1 << g
                     open_deps[v] &= ~(1 << g)
                 else:
-                    witness(outcome.model)
+                    witness(selected(outcome.model))
         for g in _members(open_conflicts[v]):
             if open_conflicts[v] >> g & 1:
                 outcome = engine.solve((v, g))
                 if outcome.status is Status.UNSAT:
                     confirm_conflict(v, g)
                 else:
-                    witness(outcome.model)
+                    witness(selected(outcome.model))
 
     relations = {
         v: StrongRelations(

@@ -33,6 +33,7 @@ from fmnet.cnf import emit_dimacs
 from fmnet.fixtures import coreboot_graphics_formula
 from fmnet.metrics import compute_model_metrics, compute_node_metrics
 from fmnet.oracle import oracle_strong_relations, validate_model
+from fmnet.sat import SatEngine
 from fmnet.stats import effect_label, spearman_rho, wilcoxon_signed_rank
 from fmnet.strong_graphs import compute_strong_graphs, extract_strong_relations
 
@@ -107,7 +108,7 @@ def test_criterion_2_extraction_matches_independent_oracles(criterion):
             mismatches.append(f"relations vs enumeration, instance {checked}")
         if extracted != tt_strong_relations(formula):
             mismatches.append(f"relations vs truth table, instance {checked}")
-        backbone = compute_backbone(formula)
+        backbone = compute_backbone(SatEngine(formula))
         if backbone.literals != tt_backbone_literals(formula):
             mismatches.append(f"backbone vs truth table, instance {checked}")
         if num_vars <= 14 and backbone.literals != _model_intersection(formula):

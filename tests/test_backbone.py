@@ -2,19 +2,20 @@ import random
 
 import pytest
 
-from conftest import random_cnf, random_satisfiable_cnf, tt_backbone_literals, truth_table_mask
+from conftest import (
+    random_cnf,
+    random_satisfiable_cnf,
+    truth_table_mask,
+    tt_backbone_literals,
+    tt_models,
+)
 from fmnet.backbone import Backbone, compute_backbone
 from fmnet.cnf import CnfFormula
 from fmnet.errors import VoidModelError
+from fmnet.sat import SatEngine
 
 
 class TestBackboneDataclass:
-    def test_polarity_of(self):
-        backbone = Backbone(frozenset({1, -3}))
-        assert backbone.polarity_of(1) == 1
-        assert backbone.polarity_of(3) == -1
-        assert backbone.polarity_of(2) is None
-
     def test_rejects_both_polarities(self):
         with pytest.raises(ValueError, match="both polarities"):
             Backbone(frozenset({2, -2}))
@@ -22,43 +23,28 @@ class TestBackboneDataclass:
     def test_sat_calls_ignored_by_equality(self):
         assert Backbone(frozenset({1}), sat_calls=3) == Backbone(frozenset({1}), sat_calls=9)
 
+    def test_models_ignored_by_equality(self):
+        assert Backbone(frozenset({1}), models=(0b10,)) == Backbone(frozenset({1}))
+
 
 class TestComputeBackbone:
     def test_known_small_formula(self):
         # 1 forced, 2 forced through the implication, 3 free.
         formula = CnfFormula(num_vars=3, clauses=((1,), (-1, 2)))
-        assert compute_backbone(formula).literals == frozenset({1, 2})
+        assert compute_backbone(SatEngine(formula)).literals == frozenset({1, 2})
 
     def test_negative_backbone_literal(self):
         formula = CnfFormula(num_vars=2, clauses=((-1,), (1, 2)))
-        assert compute_backbone(formula).literals == frozenset({-1, 2})
+        assert compute_backbone(SatEngine(formula)).literals == frozenset({-1, 2})
 
     def test_empty_backbone(self):
         formula = CnfFormula(num_vars=2, clauses=((1, 2),))
-        assert compute_backbone(formula).literals == frozenset()
+        assert compute_backbone(SatEngine(formula)).literals == frozenset()
 
     def test_unsat_raises(self):
         formula = CnfFormula(num_vars=1, clauses=((1,), (-1,)))
         with pytest.raises(VoidModelError, match="unsatisfiable"):
-            compute_backbone(formula)
-
-    def test_trivially_unsat_raises(self):
-        formula = CnfFormula(num_vars=1, clauses=(), trivially_unsat=True)
-        with pytest.raises(VoidModelError, match="empty clause"):
-            compute_backbone(formula)
-
-    def test_unsat_under_assumptions_raises(self):
-        formula = CnfFormula(num_vars=2, clauses=((-1, 2),))
-        with pytest.raises(VoidModelError, match="under assumptions"):
-            compute_backbone(formula, (1, -2))
-
-    def test_assumptions_join_backbone(self):
-        formula = CnfFormula(num_vars=3, clauses=((1, 2, 3),))
-        backbone = compute_backbone(formula, (-2,))
-        assert -2 in backbone.literals
-        # Conditioning can force more: with 2 off and 3 off, 1 is forced.
-        backbone = compute_backbone(formula, (-2, -3))
-        assert backbone.literals == frozenset({1, -2, -3})
+            compute_backbone(SatEngine(formula))
 
     def test_agrees_with_truth_table(self):
         rng = random.Random(777)
@@ -67,9 +53,9 @@ class TestComputeBackbone:
             formula = random_cnf(rng, num_vars, rng.uniform(1.5, 4.5))
             if truth_table_mask(formula) == 0:
                 with pytest.raises(VoidModelError):
-                    compute_backbone(formula)
+                    compute_backbone(SatEngine(formula))
                 continue
-            backbone = compute_backbone(formula)
+            backbone = compute_backbone(SatEngine(formula))
             assert backbone.literals == tt_backbone_literals(formula)
 
     def test_call_budget(self):
@@ -78,24 +64,42 @@ class TestComputeBackbone:
         for _ in range(100):
             num_vars = rng.randint(1, 14)
             formula = random_satisfiable_cnf(rng, num_vars, rng.uniform(1.5, 4.0))
-            backbone = compute_backbone(formula)
+            backbone = compute_backbone(SatEngine(formula))
             assert backbone.sat_calls <= num_vars + 1
 
-    def test_conditioned_backbone_matches_conditioned_formula(self):
-        rng = random.Random(55)
-        for _ in range(80):
-            num_vars = rng.randint(2, 10)
-            formula = random_satisfiable_cnf(rng, num_vars, rng.uniform(1.0, 3.0))
-            var = rng.randint(1, num_vars)
-            lit = var if rng.random() < 0.5 else -var
-            conditioned = CnfFormula(
-                num_vars=num_vars, clauses=formula.clauses + ((lit,),)
-            )
-            if truth_table_mask(conditioned) == 0:
-                with pytest.raises(VoidModelError):
-                    compute_backbone(formula, (lit,))
-                continue
-            assert (
-                compute_backbone(formula, (lit,)).literals
-                == tt_backbone_literals(conditioned)
-            )
+    def test_counts_only_its_own_solves(self):
+        engine = SatEngine(CnfFormula(num_vars=3, clauses=((1,), (-1, 2))))
+        engine.solve()
+        engine.solve((3,))
+        backbone = compute_backbone(engine)
+        assert backbone.sat_calls == engine.num_solve_calls - 2
+        assert backbone.sat_calls <= 4
+
+    def test_models_are_the_models_found(self):
+        # Each mask is a model of the formula; there is one per SAT answer,
+        # i.e. one per solve that did not confirm a backbone literal.
+        rng = random.Random(31)
+        for _ in range(100):
+            num_vars = rng.randint(1, 12)
+            formula = random_satisfiable_cnf(rng, num_vars, rng.uniform(1.5, 4.0))
+            backbone = compute_backbone(SatEngine(formula))
+            assert len(backbone.models) == backbone.sat_calls - len(backbone.literals)
+            models = {
+                sum(1 << v for v, value in enumerate(model) if value)
+                for model in tt_models(formula)
+            }
+            assert set(backbone.models) <= models
+            for lit in backbone.literals:
+                assert all((mask >> abs(lit) & 1) == (lit > 0) for mask in backbone.models)
+
+    def test_reused_engine_agrees_with_truth_table(self):
+        # The engine may have answered other queries and learned clauses.
+        rng = random.Random(4242)
+        for _ in range(150):
+            num_vars = rng.randint(2, 12)
+            formula = random_satisfiable_cnf(rng, num_vars, rng.uniform(1.5, 4.0))
+            engine = SatEngine(formula)
+            for _ in range(3):
+                picked = rng.sample(range(1, num_vars + 1), 2)
+                engine.solve(tuple(v if rng.random() < 0.5 else -v for v in picked))
+            assert compute_backbone(engine).literals == tt_backbone_literals(formula)

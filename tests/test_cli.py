@@ -57,6 +57,12 @@ class TestAnalyze:
         path.write_text(VOID_DIMACS, "utf-8")
         assert cli.main(["analyze", str(path)]) == cli.EXIT_VOID_MODEL
 
+    def test_empty_clause_is_void_model(self, tmp_path, capsys):
+        path = tmp_path / "empty_clause.cnf"
+        path.write_text("p cnf 2 2\n1 2 0\n0\n", "utf-8")
+        assert cli.main(["analyze", str(path)]) == cli.EXIT_VOID_MODEL
+        assert "empty clause" in capsys.readouterr().err
+
     def test_deep_constraint_is_input_error(self, tmp_path, capsys):
         path = tmp_path / "deep.fm"
         path.write_text(

@@ -5,13 +5,7 @@ import pytest
 from conftest import random_cnf, tt_model_count, tt_models, truth_table_mask, variable_column
 from fmnet.cnf import CnfFormula
 from fmnet.errors import EnumerationLimitError
-from fmnet.sat import (
-    SatEngine,
-    SatOutcome,
-    Status,
-    enumerate_models,
-    solve_under_assumptions,
-)
+from fmnet.sat import SatEngine, SatOutcome, Status, enumerate_models
 
 
 def satisfies(model, formula):
@@ -25,47 +19,41 @@ class TestSatOutcome:
         with pytest.raises(ValueError):
             SatOutcome(status=Status.UNSAT, model=(False, True))
 
-    def test_literals(self):
-        outcome = SatOutcome(status=Status.SAT, model=(False, True, False, True))
-        assert outcome.literals() == frozenset({1, -2, 3})
-        with pytest.raises(ValueError):
-            SatOutcome(status=Status.UNSAT).literals()
-
 
 class TestSolve:
     def test_simple_sat(self):
         formula = CnfFormula(num_vars=2, clauses=((1, 2), (-1, 2)))
-        outcome = solve_under_assumptions(formula)
+        outcome = SatEngine(formula).solve()
         assert outcome.status is Status.SAT
         assert outcome.model[2]
 
     def test_simple_unsat(self):
         formula = CnfFormula(num_vars=1, clauses=((1,), (-1,)))
-        assert solve_under_assumptions(formula).status is Status.UNSAT
+        assert SatEngine(formula).solve().status is Status.UNSAT
 
     def test_trivially_unsat(self):
         formula = CnfFormula(num_vars=1, clauses=(), trivially_unsat=True)
-        assert solve_under_assumptions(formula).status is Status.UNSAT
+        assert SatEngine(formula).solve().status is Status.UNSAT
 
     def test_zero_vars_sat(self):
-        outcome = solve_under_assumptions(CnfFormula(num_vars=0, clauses=()))
+        outcome = SatEngine(CnfFormula(num_vars=0, clauses=())).solve()
         assert outcome.status is Status.SAT
         assert outcome.model == (False,)
 
     def test_assumptions_force_polarity(self):
         formula = CnfFormula(num_vars=2, clauses=((1, 2),))
-        outcome = solve_under_assumptions(formula, (-1,))
+        outcome = SatEngine(formula).solve((-1,))
         assert outcome.status is Status.SAT
         assert not outcome.model[1] and outcome.model[2]
 
     def test_contradictory_assumptions(self):
         formula = CnfFormula(num_vars=2, clauses=((1, 2),))
-        assert solve_under_assumptions(formula, (1, -1)).status is Status.UNSAT
+        assert SatEngine(formula).solve((1, -1)).status is Status.UNSAT
 
     def test_assumption_conflicts_with_clauses(self):
         formula = CnfFormula(num_vars=2, clauses=((1,), (-1, 2)))
-        assert solve_under_assumptions(formula, (-2,)).status is Status.UNSAT
-        assert solve_under_assumptions(formula, (2,)).status is Status.SAT
+        assert SatEngine(formula).solve((-2,)).status is Status.UNSAT
+        assert SatEngine(formula).solve((2,)).status is Status.SAT
 
     def test_assumption_out_of_range(self):
         engine = SatEngine(CnfFormula(num_vars=2, clauses=()))
@@ -101,7 +89,7 @@ class TestSolve:
         rng = random.Random(3)
         for _ in range(50):
             formula = random_cnf(rng, rng.randint(1, 15), rng.uniform(1.0, 3.0))
-            outcome = solve_under_assumptions(formula)
+            outcome = SatEngine(formula).solve()
             if outcome.status is Status.SAT:
                 assert len(outcome.model) == formula.num_vars + 1
                 assert satisfies(outcome.model, formula)
@@ -115,7 +103,7 @@ class TestSolve:
             num_vars = rng.randint(1, 20)
             formula = random_cnf(rng, num_vars, rng.uniform(1.0, 5.0))
             expected_sat = truth_table_mask(formula) != 0
-            outcome = solve_under_assumptions(formula)
+            outcome = SatEngine(formula).solve()
             assert (outcome.status is Status.SAT) == expected_sat
             if expected_sat:
                 sat_seen += 1
@@ -136,7 +124,7 @@ class TestSolve:
                 clauses=formula.clauses + tuple((a,) for a in assumptions),
             )
             expected_sat = truth_table_mask(conditioned) != 0
-            outcome = solve_under_assumptions(formula, assumptions)
+            outcome = SatEngine(formula).solve(assumptions)
             assert (outcome.status is Status.SAT) == expected_sat
             if expected_sat:
                 assert all(outcome.model[abs(a)] == (a > 0) for a in assumptions)

@@ -3,6 +3,8 @@ import random
 import pytest
 
 from conftest import random_cnf, random_satisfiable_cnf, tt_strong_relations, truth_table_mask
+import fmnet.strong_graphs as strong_graphs
+from fmnet.backbone import compute_backbone
 from fmnet.cnf import CnfFormula
 from fmnet.errors import VoidModelError
 from fmnet.sat import SatEngine, Status
@@ -40,6 +42,11 @@ class TestExtraction:
     def test_void_model_raises(self):
         formula = CnfFormula(num_vars=1, clauses=((1,), (-1,)))
         with pytest.raises(VoidModelError):
+            extract_strong_relations(formula)
+
+    def test_trivially_unsat_raises(self):
+        formula = CnfFormula(num_vars=1, clauses=(), trivially_unsat=True)
+        with pytest.raises(VoidModelError, match="empty clause"):
             extract_strong_relations(formula)
 
     def test_known_chain(self):
@@ -122,9 +129,38 @@ class TestExtractionRoutes:
         assert all(rel == StrongRelations(frozenset(), frozenset()) for rel in relations.values())
         assert len(pair_queries) <= 2 * n
 
+    def test_backbone_models_refute_without_a_query(self, monkeypatch, pair_queries):
+        # The backbone's models are witnesses too: no pair query asks about
+        # a candidate one of them refutes, and some candidate is refuted
+        # by them alone.
+        found = []
+
+        def recording(engine):
+            backbone = compute_backbone(engine)
+            found.extend(backbone.models)
+            return backbone
+
+        monkeypatch.setattr(strong_graphs, "compute_backbone", recording)
+        n = 8
+        _, relations = extract_strong_relations(CnfFormula(num_vars=n, clauses=()))
+        assert all(rel == StrongRelations(frozenset(), frozenset()) for rel in relations.values())
+
+        def refuted(v, g, conflict):
+            return any(mask >> v & 1 and (mask >> g & 1) == conflict for mask in found)
+
+        queried = {(v, abs(g), g > 0) for (v, g), _ in pair_queries}
+        assert all(not refuted(*query) for query in queried)
+        assert any(
+            refuted(v, g, conflict)
+            for v in range(1, n + 1)
+            for g in range(1, n + 1)
+            for conflict in (False, True)
+            if v != g
+        )
+
     @pytest.mark.parametrize("num_vars", [1, 6, 30])
-    def test_two_engines_whatever_the_feature_count(self, monkeypatch, num_vars):
-        # One engine for the base backbone, one for every pair of the model.
+    def test_one_engine_whatever_the_feature_count(self, monkeypatch, num_vars):
+        # The base backbone and every pair of the model share one engine.
         built = []
         init = SatEngine.__init__
 
@@ -140,7 +176,7 @@ class TestExtractionRoutes:
         formula = CnfFormula(num_vars=num_vars, clauses=requires + excludes)
         classification, _ = extract_strong_relations(formula)
         assert len(classification.configurable) == num_vars
-        assert len(built) == 2
+        assert len(built) == 1
 
 
 class TestBuildStrongGraphs:
