@@ -6,10 +6,9 @@ the backbone really is the intersection, then asks the extractor what
 selecting one configurable feature forces on or off.
 """
 
-from fmnet.backbone import compute_backbone
 from fmnet.cnf import parse_dimacs
 from fmnet.sat import SatEngine, enumerate_models
-from fmnet.strong_graphs import extract_strong_relations
+from fmnet.strong_graphs import compute_backbone, extract_strong_relations
 
 TEXT = """\
 c 1 ROOT
@@ -38,8 +37,9 @@ def main() -> None:
 
     models = list(enumerate_models(formula))
     print(f"\nall {len(models)} satisfying assignments:")
+    # each model is the bitmask of its selected variables, bit v for variable v
     for model in models:
-        row = [formula.name_of(v) for v in formula.variables() if model[v]]
+        row = [formula.name_of(v) for v in formula.variables() if model >> v & 1]
         print(f"  {{{', '.join(row)}}}")
 
     backbone = compute_backbone(SatEngine(formula))
@@ -49,7 +49,7 @@ def main() -> None:
 
     # every backbone literal must hold in every model above
     for lit in backbone.literals:
-        assert all(model[abs(lit)] is (lit > 0) for model in models)
+        assert all((model >> abs(lit) & 1) == (lit > 0) for model in models)
     print("cross-checked against the enumeration: consistent")
 
     # what selecting EXTRA forces beyond the backbone
@@ -59,9 +59,9 @@ def main() -> None:
     print(f"EXTRA depends_on: {show(formula, extra.depends_on)}")
     print(f"EXTRA conflicts_with: {show(formula, extra.conflicts_with)}")
     for model in models:
-        if model[3]:
-            assert all(model[g] for g in extra.depends_on)
-            assert not any(model[g] for g in extra.conflicts_with)
+        if model >> 3 & 1:
+            assert all(model >> g & 1 for g in extra.depends_on)
+            assert not any(model >> g & 1 for g in extra.conflicts_with)
     print("every assignment selecting EXTRA agrees")
 
 

@@ -1,14 +1,14 @@
 """Strong dependency and conflict graphs for feature models.
 
 The pipeline: parse a model (DIMACS CNF or the feature-model dialect),
-classify features as core, dead or configurable via the formula backbone,
-settle on the same incremental solver what each configurable feature
-strongly requires and excludes, then study the resulting graphs with
+ask one incremental solver, through one settling routine, what selecting
+nothing forces (the backbone, which makes each feature core, dead or
+configurable) and what selecting each configurable feature forces (its
+strong dependencies and conflicts), then study the resulting graphs with
 degree metrics and corpus-level statistics. A model-enumeration oracle and
 a sampling validator double-check every artifact.
 """
 
-from .backbone import Backbone, compute_backbone
 from .cnf import Clause, CnfFormula, emit_dimacs, normalize_clause, parse_dimacs
 from .errors import (
     ConstraintError,
@@ -43,10 +43,12 @@ from .stats import (
     wilcoxon_signed_rank,
 )
 from .strong_graphs import (
+    Backbone,
     FeatureClassification,
     StrongGraphs,
     StrongRelations,
     build_strong_graphs,
+    compute_backbone,
     compute_strong_graphs,
     extract_strong_relations,
 )

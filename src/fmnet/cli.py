@@ -34,7 +34,7 @@ from .corpus import (
     load_manifest,
     summary_json,
 )
-from .errors import EnumerationLimitError, FmnetError, InputSyntaxError, VoidModelError
+from .errors import FmnetError, InputSyntaxError, VoidModelError
 from .export import FORMATS as EXPORT_FORMATS
 from .export import export_graph, graphs_from_json
 from .metrics import DEFAULT_THRESHOLD_PCT, compute_model_metrics
@@ -182,8 +182,7 @@ def main(argv: list[str] | None = None) -> int:
     except VoidModelError as error:
         print(f"error: {error}", file=sys.stderr)
         return EXIT_VOID_MODEL
-    except (InputSyntaxError, EnumerationLimitError, FmnetError, OSError,
-            ValueError) as error:
+    except (FmnetError, OSError, ValueError) as error:
         print(f"error: {error}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

@@ -120,6 +120,8 @@ def load_manifest(path: str | Path) -> CorpusManifest:
                 f"manifest must have columns id,path,format,domain; got {reader.fieldnames}"
             )
         for row_no, row in enumerate(reader, start=2):
+            if None in row.values():  # csv pads a short row with None
+                raise InputSyntaxError("row has fewer columns than the header", row_no)
             model_id = row["id"].strip()
             if not model_id:
                 raise InputSyntaxError("empty model id", row_no)

@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 from xml.sax.saxutils import escape
 
+from .errors import InputSyntaxError
 from .strong_graphs import FeatureClassification, StrongGraphs
 
 FORMATS = ("dot", "graphml", "json")
@@ -100,26 +101,32 @@ def _to_json(graphs: StrongGraphs) -> str:
 
 
 def graphs_from_json(text: str) -> StrongGraphs:
-    """Rebuild a StrongGraphs artifact from its JSON export."""
-    payload = json.loads(text)
-    names = {}
-    groups = {}
-    for key in ("nodes", "core", "dead"):
-        indices = set()
-        for entry in payload[key]:
-            indices.add(entry["index"])
-            names[entry["index"]] = entry["name"]
-        groups[key] = frozenset(indices)
-    classification = FeatureClassification(
-        num_vars=payload["num_vars"],
-        core=groups["core"],
-        dead=groups["dead"],
-        configurable=groups["nodes"],
-    )
-    return StrongGraphs(
-        nodes=groups["nodes"],
-        dep_arcs=frozenset((a, b) for a, b in payload["arcs"]),
-        conflict_edges=frozenset((a, b) for a, b in payload["conflict_edges"]),
-        classification=classification,
-        names=names,
-    )
+    """Rebuild a StrongGraphs artifact from its JSON export.
+
+    Raises InputSyntaxError for text that is not such an export.
+    """
+    try:
+        payload = json.loads(text)
+        names = {}
+        groups = {}
+        for key in ("nodes", "core", "dead"):
+            indices = set()
+            for entry in payload[key]:
+                indices.add(entry["index"])
+                names[entry["index"]] = entry["name"]
+            groups[key] = frozenset(indices)
+        classification = FeatureClassification(
+            num_vars=payload["num_vars"],
+            core=groups["core"],
+            dead=groups["dead"],
+            configurable=groups["nodes"],
+        )
+        return StrongGraphs(
+            nodes=groups["nodes"],
+            dep_arcs=frozenset((a, b) for a, b in payload["arcs"]),
+            conflict_edges=frozenset((a, b) for a, b in payload["conflict_edges"]),
+            classification=classification,
+            names=names,
+        )
+    except (KeyError, TypeError, ValueError) as error:
+        raise InputSyntaxError(f"not a graphs artifact: {error!r}") from error

@@ -35,33 +35,29 @@ def oracle_strong_relations(
     it and conflicts with whatever is true in none of them.
     """
     n = formula.num_vars
-    full_mask = (1 << n) - 1
+    full_mask = (1 << (n + 1)) - 2  # bit v for variable v
     count = 0
     all_and = full_mask
     all_or = 0
     # Per-variable intersection/union over the models that select it.
     inter = [full_mask] * (n + 1)
     union = [0] * (n + 1)
-    for model in enumerate_models(formula, var_limit=var_limit):
+    for mask in enumerate_models(formula, var_limit=var_limit):
         count += 1
-        mask = 0
-        for v in range(1, n + 1):
-            if model[v]:
-                mask |= 1 << (v - 1)
         all_and &= mask
         all_or |= mask
         selected = mask
         while selected:
             low = selected & -selected
-            v = low.bit_length()
+            v = low.bit_length() - 1
             inter[v] &= mask
             union[v] |= mask
             selected ^= low
     if count == 0:
         raise VoidModelError("formula is unsatisfiable")
 
-    core = frozenset(v for v in range(1, n + 1) if all_and >> (v - 1) & 1)
-    dead = frozenset(v for v in range(1, n + 1) if not (all_or >> (v - 1) & 1))
+    core = frozenset(v for v in range(1, n + 1) if all_and >> v & 1)
+    dead = frozenset(v for v in range(1, n + 1) if not (all_or >> v & 1))
     configurable = frozenset(set(range(1, n + 1)) - core - dead)
     classification = FeatureClassification(
         num_vars=n, core=core, dead=dead, configurable=configurable
@@ -73,10 +69,10 @@ def oracle_strong_relations(
         excluded = ~union[v] & full_mask
         relations[v] = StrongRelations(
             depends_on=frozenset(
-                g for g in configurable if g != v and forced >> (g - 1) & 1
+                g for g in configurable if g != v and forced >> g & 1
             ),
             conflicts_with=frozenset(
-                g for g in configurable if g != v and excluded >> (g - 1) & 1
+                g for g in configurable if g != v and excluded >> g & 1
             ),
         )
     return classification, relations

@@ -10,6 +10,9 @@ Everything here is deterministic: same formula, same call sequence, same
 answer, including the returned model. Only the SAT/UNSAT status is part of
 the semantic contract; which model comes back is an implementation detail
 that tests must not rely on beyond "it satisfies the formula".
+
+A model leaves this module as one integer, the bitmask of the variables it
+sets true (bit v for variable v, bit 0 clear); no other module decodes one.
 """
 
 from __future__ import annotations
@@ -26,6 +29,8 @@ from .errors import EnumerationLimitError
 # value(lit) == _VALUES[var] ^ (sign bit), giving 1 for true, 0 for false
 # and >= 2 for unassigned.
 _FALSE, _TRUE, _UNASSIGNED = 0, 1, 2
+# Renders a value list, highest variable first, as binary digits.
+_MODEL_DIGITS = bytes.maketrans(bytes((_FALSE, _TRUE, _UNASSIGNED)), b"010")
 
 _RESTART_BASE = 100
 _ACTIVITY_DECAY = 1.0 / 0.95
@@ -41,12 +46,12 @@ class Status(enum.Enum):
 class SatOutcome:
     """Result of one solve call.
 
-    ``model`` is a total assignment indexed by variable (entry 0 is unused
-    padding) and is present exactly when the status is SAT.
+    ``model``, the mask of a total assignment, is present exactly when the
+    status is SAT.
     """
 
     status: Status
-    model: tuple[bool, ...] | None = None
+    model: int | None = None
 
     def __post_init__(self):
         if (self.status is Status.SAT) != (self.model is not None):
@@ -212,8 +217,9 @@ class SatEngine:
             if code is None:
                 var = self._pick_var()
                 if var is None:
-                    model = tuple(value == _TRUE for value in self._values)
-                    return SatOutcome(Status.SAT, model)
+                    # Entry 0 is never assigned, so bit 0 comes out clear.
+                    digits = bytes(reversed(self._values)).translate(_MODEL_DIGITS)
+                    return SatOutcome(Status.SAT, int(digits, 2))
                 code = (var << 1) | (not self._saved_phase[var])
             self._trail_lim.append(len(self._trail))
             self._assign(code, -1)
@@ -375,10 +381,8 @@ class SatEngine:
         self._activity_inc *= _ACTIVITY_DECAY
 
 
-def enumerate_models(
-    formula: CnfFormula, var_limit: int = 25
-) -> Iterator[tuple[bool, ...]]:
-    """Yield every satisfying total assignment exactly once.
+def enumerate_models(formula: CnfFormula, var_limit: int = 25) -> Iterator[int]:
+    """Yield every satisfying total assignment exactly once, as a model mask.
 
     Standard blocking-clause loop: after each model, a clause forbidding
     exactly that total assignment is added, so the count is exact and no
@@ -397,7 +401,7 @@ def enumerate_models(
         model = outcome.model
         assert model is not None
         yield model
-        blocking = [-v if model[v] else v for v in range(1, formula.num_vars + 1)]
+        blocking = [-v if model >> v & 1 else v for v in range(1, formula.num_vars + 1)]
         if not blocking:  # zero-variable formula has the one empty model
             return
         engine.add_clause(blocking)

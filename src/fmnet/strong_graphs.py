@@ -1,35 +1,54 @@
 """Strong dependency and conflict graphs of a variability model.
 
 A feature is core when it appears in every configuration and dead when it
-appears in none; both follow from the backbone of the model's formula. A
-remaining (configurable) feature v strongly depends on g when every
-configuration selecting v selects g, and strongly conflicts with g when none
-selects both. Dependencies form a directed graph that is transitively closed
-by construction (entailment is); conflicts are symmetric and collapse to
-undirected edges.
+appears in none; both follow from the backbone of the model's formula, the
+literals true in every model. A remaining (configurable) feature v strongly
+depends on g when every configuration selecting v selects g, and strongly
+conflicts with g when none selects both. Dependencies form a directed graph
+that is transitively closed by construction (entailment is); conflicts are
+symmetric and collapse to undirected edges.
 
-One incremental solver serves a whole model: it finds the backbone first
-and then settles every candidate pair, each by the cheapest route that
-works. Every configuration the solver returns, the backbone's included, is
-a witness: it refutes the open dependencies of each feature it selects on
-the features it leaves out, and the open conflicts with the features it
-selects too. Unit propagation from v alone confirms every relation it
-derives. Only the pairs left after both get a query of their own, v with
-not-g for a dependency and v with g for a conflict, which is unsatisfiable
-exactly when the relation holds.
+Both questions are one question under different assumptions: what does
+selecting nothing, or selecting v, force? ``_forced`` answers it on one
+incremental solver per model, each candidate by the cheapest route that
+works. Unit propagation from the assumptions confirms every candidate it
+derives. Every model the solver returns is a witness: it refutes the
+candidates it disagrees with, for the feature at hand and, through the
+caller's ``witness``, for every feature it selects. Only what is left gets
+a query of its own, the assumptions plus the candidate negated, which is
+unsatisfiable exactly when the candidate is forced. The backbone's models
+are replayed as witnesses before the per-feature search.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Mapping
+from dataclasses import dataclass, field
+from typing import Callable, Iterator, Mapping, Sequence
 
-from .backbone import compute_backbone
 from .cnf import CnfFormula
 from .errors import VoidModelError
 from .sat import SatEngine, Status
 
 Arc = tuple[int, int]
+
+
+@dataclass(frozen=True)
+class Backbone:
+    """Literals true in every model of the formula.
+
+    ``sat_calls`` (the solves the computation made) and ``models`` (the
+    masks of the models it found) are by-products and do not take part in
+    equality.
+    """
+
+    literals: frozenset[int]
+    sat_calls: int = field(default=0, compare=False)
+    models: tuple[int, ...] = field(default=(), compare=False)
+
+    def __post_init__(self):
+        variables = [abs(lit) for lit in self.literals]
+        if len(set(variables)) != len(variables):
+            raise ValueError("backbone contains both polarities of a variable")
 
 
 @dataclass(frozen=True)
@@ -92,6 +111,71 @@ def _members(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _forced(
+    engine: SatEngine,
+    assumptions: Sequence[int],
+    true_open: int,
+    false_open: int,
+    witness: Callable[[int], None],
+) -> tuple[int, int]:
+    """Which candidates every model under ``assumptions`` sets true or false.
+
+    ``true_open`` and ``false_open`` are disjoint variable masks of the
+    candidates to settle; the result holds the masks of those forced true
+    and forced false. Candidates for true get their queries first, in
+    variable order, then those for false. Every model found is passed to
+    ``witness``.
+    """
+    forced_true = forced_false = 0
+    if true_open | false_open:
+        # Never None: the callers' assumptions are satisfiable.
+        for lit in engine.implied_literals(assumptions) or ():
+            bit = 1 << abs(lit)
+            if lit > 0 and true_open & bit:
+                forced_true |= bit
+                true_open &= ~bit
+            elif lit < 0 and false_open & bit:
+                forced_false |= bit
+                false_open &= ~bit
+    for g in (*_members(true_open), *_members(false_open)):
+        bit = 1 << g
+        if true_open & bit:
+            outcome = engine.solve((*assumptions, -g))
+        elif false_open & bit:
+            outcome = engine.solve((*assumptions, g))
+        else:
+            continue  # refuted by a model found since the loop began
+        if outcome.status is Status.SAT:
+            witness(outcome.model)
+            true_open &= outcome.model
+            false_open &= ~outcome.model
+        elif true_open & bit:
+            forced_true |= bit
+        else:
+            forced_false |= bit
+    return forced_true, forced_false
+
+
+def compute_backbone(engine: SatEngine) -> Backbone:
+    """Backbone of the formula ``engine`` was built from.
+
+    Each variable is tested at most once, against its value in the first
+    model. Raises VoidModelError when the formula is unsatisfiable.
+    """
+    calls_before = engine.num_solve_calls
+    outcome = engine.solve()
+    if outcome.status is Status.UNSAT:
+        raise VoidModelError("formula is unsatisfiable")
+    models = [outcome.model]
+    unset = (1 << (engine.num_vars + 1)) - 2 & ~outcome.model
+    core, dead = _forced(engine, (), outcome.model, unset, models.append)
+    return Backbone(
+        frozenset([*_members(core), *(-v for v in _members(dead))]),
+        sat_calls=engine.num_solve_calls - calls_before,
+        models=tuple(models),
+    )
+
+
 def extract_strong_relations(
     formula: CnfFormula,
 ) -> tuple[FeatureClassification, dict[int, StrongRelations]]:
@@ -118,49 +202,20 @@ def extract_strong_relations(
     deps = dict.fromkeys(order, 0)
     conflicts = dict.fromkeys(order, 0)
 
-    def selected(model: tuple[bool, ...]) -> int:
-        return sum(1 << w for w in order if model[w])
+    def witness(model: int) -> None:
+        for v in _members(model & everyone):
+            open_deps[v] &= model
+            open_conflicts[v] &= ~model
 
-    def witness(mask: int) -> None:
-        # ``mask`` holds the configuration's selected variables.
-        for v in _members(mask & everyone):
-            open_deps[v] &= mask
-            open_conflicts[v] &= ~mask
-
-    def confirm_conflict(v: int, g: int) -> None:
-        # Symmetric: proven for g as well, which spares g's query.
-        conflicts[v] |= 1 << g
-        conflicts[g] |= 1 << v
-        open_conflicts[v] &= ~(1 << g)
-        open_conflicts[g] &= ~(1 << v)
-
-    for mask in base.models:
-        witness(mask)
+    for model in base.models:
+        witness(model)
     for v in order:
-        if open_deps[v] or open_conflicts[v]:
-            # Never None: v is configurable, so propagating it cannot conflict.
-            for lit in engine.implied_literals((v,)) or ():
-                bit = 1 << abs(lit)
-                if lit > 0 and open_deps[v] & bit:
-                    deps[v] |= bit
-                    open_deps[v] &= ~bit
-                elif lit < 0 and open_conflicts[v] & bit:
-                    confirm_conflict(v, -lit)
-        for g in _members(open_deps[v]):
-            if open_deps[v] >> g & 1:
-                outcome = engine.solve((v, -g))
-                if outcome.status is Status.UNSAT:
-                    deps[v] |= 1 << g
-                    open_deps[v] &= ~(1 << g)
-                else:
-                    witness(selected(outcome.model))
-        for g in _members(open_conflicts[v]):
-            if open_conflicts[v] >> g & 1:
-                outcome = engine.solve((v, g))
-                if outcome.status is Status.UNSAT:
-                    confirm_conflict(v, g)
-                else:
-                    witness(selected(outcome.model))
+        deps[v], found = _forced(engine, (v,), open_deps[v], open_conflicts[v], witness)
+        # Conflicts are symmetric: each one found is proven for g as well.
+        conflicts[v] |= found
+        for g in _members(found):
+            conflicts[g] |= 1 << v
+            open_conflicts[g] &= ~(1 << v)
 
     relations = {
         v: StrongRelations(

@@ -67,6 +67,12 @@ def tt_models(formula: CnfFormula) -> list[tuple[bool, ...]]:
     return models
 
 
+def tt_model_masks(formula: CnfFormula) -> list[int]:
+    """All models as masks of their true variables, bit v for variable v."""
+    mask = truth_table_mask(formula)
+    return [row << 1 for row in range(1 << formula.num_vars) if mask >> row & 1]
+
+
 def tt_backbone_literals(formula: CnfFormula) -> frozenset[int]:
     """Backbone literals read off the truth table (formula must be sat)."""
     mask = truth_table_mask(formula)

@@ -28,14 +28,17 @@ from conftest import (
     tt_strong_relations,
 )
 from fmnet import cli
-from fmnet.backbone import compute_backbone
 from fmnet.cnf import emit_dimacs
 from fmnet.fixtures import coreboot_graphics_formula
 from fmnet.metrics import compute_model_metrics, compute_node_metrics
 from fmnet.oracle import oracle_strong_relations, validate_model
 from fmnet.sat import SatEngine
 from fmnet.stats import effect_label, spearman_rho, wilcoxon_signed_rank
-from fmnet.strong_graphs import compute_strong_graphs, extract_strong_relations
+from fmnet.strong_graphs import (
+    compute_backbone,
+    compute_strong_graphs,
+    extract_strong_relations,
+)
 
 
 def test_criterion_1_reference_model_graph_facts(criterion):

@@ -7,12 +7,12 @@ from conftest import (
     random_satisfiable_cnf,
     truth_table_mask,
     tt_backbone_literals,
-    tt_models,
+    tt_model_masks,
 )
-from fmnet.backbone import Backbone, compute_backbone
 from fmnet.cnf import CnfFormula
 from fmnet.errors import VoidModelError
 from fmnet.sat import SatEngine
+from fmnet.strong_graphs import Backbone, compute_backbone
 
 
 class TestBackboneDataclass:
@@ -84,13 +84,34 @@ class TestComputeBackbone:
             formula = random_satisfiable_cnf(rng, num_vars, rng.uniform(1.5, 4.0))
             backbone = compute_backbone(SatEngine(formula))
             assert len(backbone.models) == backbone.sat_calls - len(backbone.literals)
-            models = {
-                sum(1 << v for v, value in enumerate(model) if value)
-                for model in tt_models(formula)
-            }
-            assert set(backbone.models) <= models
+            assert set(backbone.models) <= set(tt_model_masks(formula))
             for lit in backbone.literals:
                 assert all((mask >> abs(lit) & 1) == (lit > 0) for mask in backbone.models)
+
+    def test_no_query_for_a_refuted_candidate(self, monkeypatch):
+        # Each model found refutes every candidate it disagrees with, so no
+        # later query asks about one of those; some queries are saved.
+        made = []
+        solve = SatEngine.solve
+
+        def recording(self, assumptions=()):
+            outcome = solve(self, assumptions)
+            made.append((tuple(assumptions), outcome.model))
+            return outcome
+
+        monkeypatch.setattr(SatEngine, "solve", recording)
+        rng = random.Random(55)
+        saved = 0
+        for _ in range(100):
+            num_vars = rng.randint(2, 12)
+            formula = random_satisfiable_cnf(rng, num_vars, rng.uniform(1.5, 4.0))
+            made.clear()
+            backbone = compute_backbone(SatEngine(formula))
+            for i, ((query,), _) in enumerate(made[1:], start=1):
+                earlier = [model for _, model in made[:i] if model is not None]
+                assert not any((m >> abs(query) & 1) == (query > 0) for m in earlier)
+            saved += num_vars + 1 - backbone.sat_calls
+        assert saved > 0
 
     def test_reused_engine_agrees_with_truth_table(self):
         # The engine may have answered other queries and learned clauses.

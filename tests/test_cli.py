@@ -111,6 +111,15 @@ class TestExport:
             == cli.EXIT_INPUT_ERROR
         )
 
+    @pytest.mark.parametrize("text", ['{"num_vars": 1}', "[1, 2]", '{"nodes": [7]}', "{"])
+    def test_not_a_graphs_artifact(self, tmp_path, capsys, text):
+        (tmp_path / "graphs.json").write_text(text, "utf-8")
+        assert (
+            cli.main(["export", str(tmp_path), "--format", "dot"])
+            == cli.EXIT_INPUT_ERROR
+        )
+        assert "not a graphs artifact" in capsys.readouterr().err
+
 
 class TestValidate:
     def test_clean_model_passes(self, fixture_file, capsys):

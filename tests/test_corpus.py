@@ -87,6 +87,13 @@ class TestLoadManifest:
         with pytest.raises(InputSyntaxError, match="columns"):
             load_manifest(path)
 
+    def test_short_row_rejected(self, tmp_path):
+        (tmp_path / "a.fm").write_text(SMALL_FM, "utf-8")
+        path = tmp_path / "manifest.csv"
+        path.write_text("id,path,format,domain\nm1,a.fm\n", "utf-8")
+        with pytest.raises(InputSyntaxError, match="line 2: row has fewer columns"):
+            load_manifest(path)
+
     def test_duplicate_id(self, tmp_path):
         (tmp_path / "a.fm").write_text(SMALL_FM, "utf-8")
         manifest = write_corpus(tmp_path, [

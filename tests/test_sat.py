@@ -2,14 +2,20 @@ import random
 
 import pytest
 
-from conftest import random_cnf, tt_model_count, tt_models, truth_table_mask, variable_column
+from conftest import (
+    random_cnf,
+    truth_table_mask,
+    tt_model_count,
+    tt_model_masks,
+    variable_column,
+)
 from fmnet.cnf import CnfFormula
 from fmnet.errors import EnumerationLimitError
 from fmnet.sat import SatEngine, SatOutcome, Status, enumerate_models
 
 
 def satisfies(model, formula):
-    return all(any(model[abs(l)] == (l > 0) for l in c) for c in formula.clauses)
+    return all(any((model >> abs(l) & 1) == (l > 0) for l in c) for c in formula.clauses)
 
 
 class TestSatOutcome:
@@ -17,7 +23,7 @@ class TestSatOutcome:
         with pytest.raises(ValueError):
             SatOutcome(status=Status.SAT)
         with pytest.raises(ValueError):
-            SatOutcome(status=Status.UNSAT, model=(False, True))
+            SatOutcome(status=Status.UNSAT, model=0b10)
 
 
 class TestSolve:
@@ -25,7 +31,7 @@ class TestSolve:
         formula = CnfFormula(num_vars=2, clauses=((1, 2), (-1, 2)))
         outcome = SatEngine(formula).solve()
         assert outcome.status is Status.SAT
-        assert outcome.model[2]
+        assert outcome.model >> 2 & 1
 
     def test_simple_unsat(self):
         formula = CnfFormula(num_vars=1, clauses=((1,), (-1,)))
@@ -38,13 +44,13 @@ class TestSolve:
     def test_zero_vars_sat(self):
         outcome = SatEngine(CnfFormula(num_vars=0, clauses=())).solve()
         assert outcome.status is Status.SAT
-        assert outcome.model == (False,)
+        assert outcome.model == 0
 
     def test_assumptions_force_polarity(self):
         formula = CnfFormula(num_vars=2, clauses=((1, 2),))
         outcome = SatEngine(formula).solve((-1,))
         assert outcome.status is Status.SAT
-        assert not outcome.model[1] and outcome.model[2]
+        assert not outcome.model >> 1 & 1 and outcome.model >> 2 & 1
 
     def test_contradictory_assumptions(self):
         formula = CnfFormula(num_vars=2, clauses=((1, 2),))
@@ -91,7 +97,8 @@ class TestSolve:
             formula = random_cnf(rng, rng.randint(1, 15), rng.uniform(1.0, 3.0))
             outcome = SatEngine(formula).solve()
             if outcome.status is Status.SAT:
-                assert len(outcome.model) == formula.num_vars + 1
+                assert outcome.model & 1 == 0
+                assert outcome.model >> (formula.num_vars + 1) == 0
                 assert satisfies(outcome.model, formula)
 
     def test_agrees_with_truth_table(self):
@@ -127,7 +134,7 @@ class TestSolve:
             outcome = SatEngine(formula).solve(assumptions)
             assert (outcome.status is Status.SAT) == expected_sat
             if expected_sat:
-                assert all(outcome.model[abs(a)] == (a > 0) for a in assumptions)
+                assert all((outcome.model >> abs(a) & 1) == (a > 0) for a in assumptions)
 
 
 class TestImpliedLiterals:
@@ -197,11 +204,11 @@ class TestEnumerateModels:
             models = list(enumerate_models(formula))
             assert len(set(models)) == len(models)
             assert len(models) == tt_model_count(formula)
-            assert sorted(models) == sorted(tt_models(formula))
+            assert sorted(models) == sorted(tt_model_masks(formula))
 
     def test_zero_var_formula_has_one_empty_model(self):
         models = list(enumerate_models(CnfFormula(num_vars=0, clauses=())))
-        assert models == [(False,)]
+        assert models == [0]
 
     def test_unsat_yields_nothing(self):
         formula = CnfFormula(num_vars=1, clauses=((1,), (-1,)))

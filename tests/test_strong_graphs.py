@@ -4,7 +4,6 @@ import pytest
 
 from conftest import random_cnf, random_satisfiable_cnf, tt_strong_relations, truth_table_mask
 import fmnet.strong_graphs as strong_graphs
-from fmnet.backbone import compute_backbone
 from fmnet.cnf import CnfFormula
 from fmnet.errors import VoidModelError
 from fmnet.sat import SatEngine, Status
@@ -12,6 +11,7 @@ from fmnet.strong_graphs import (
     FeatureClassification,
     StrongRelations,
     build_strong_graphs,
+    compute_backbone,
     compute_strong_graphs,
     extract_strong_relations,
 )
