@@ -25,6 +25,7 @@ import json
 import sys
 from pathlib import Path
 
+from .cnf import CnfFormula
 from .corpus import (
     FORMATS,
     analyze_corpus,
@@ -91,9 +92,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load(args) -> tuple:
-    fmt = args.format or detect_format(args.file)
-    return load_formula(args.file, fmt), fmt
+def _load(args) -> CnfFormula:
+    return load_formula(args.file, args.format or detect_format(args.file))
 
 
 def _cmd_analyze(args) -> int:
@@ -129,7 +129,7 @@ def _cmd_export(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    formula, _ = _load(args)
+    formula = _load(args)
     graphs = compute_strong_graphs(formula)
     report = validate_model(
         formula, graphs, sample_size=args.sample, seed=args.seed,
@@ -143,7 +143,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    formula, _ = _load(args)
+    formula = _load(args)
     classification, oracle_relations = oracle_strong_relations(
         formula, var_limit=args.var_limit
     )
@@ -189,3 +189,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def run() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run()

@@ -119,7 +119,8 @@ def load_manifest(path: str | Path) -> CorpusManifest:
             raise InputSyntaxError(
                 f"manifest must have columns id,path,format,domain; got {reader.fieldnames}"
             )
-        for row_no, row in enumerate(reader, start=2):
+        for row in reader:
+            row_no = reader.line_num  # a quoted field may span lines
             if None in row.values():  # csv pads a short row with None
                 raise InputSyntaxError("row has fewer columns than the header", row_no)
             model_id = row["id"].strip()

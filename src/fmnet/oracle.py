@@ -9,12 +9,16 @@ Two independent ways to double-check a strong-graphs artifact:
   plain assumption solves: each claimed relation must be entailed (the
   witness query is unsatisfiable) and each sampled absent relation must have
   a witness model. Classification faults suppress relation checks for the
-  affected feature, so one fault surfaces as one discrepancy.
+  affected feature, so one fault surfaces as one discrepancy. Every fault
+  class it reports, and its wording, is one entry of ``_CLAIM_TEXTS`` (a
+  wrong claim) or ``_LISTED_AS`` (a variable the artifact omits), plus the
+  structural endpoint rule.
 """
 
 from __future__ import annotations
 
 import random
+from collections import defaultdict
 from dataclasses import dataclass
 
 from .cnf import CnfFormula
@@ -23,6 +27,23 @@ from .sat import SatEngine, Status, enumerate_models
 from .strong_graphs import FeatureClassification, StrongGraphs, StrongRelations
 
 _PARTIAL_ABSENCE_CAP = 10
+
+# (kind, claimed) -> (expected, actual) for a check whose claim is wrong.
+# A claim of False on core/dead is a node's claim to be configurable.
+_CLAIM_TEXTS = {
+    ("core", True): ("selected in every configuration", "a configuration omits it"),
+    ("core", False): ("configurable", "selected in every configuration"),
+    ("dead", True): ("selected in no configuration", "a configuration selects it"),
+    ("dead", False): ("configurable", "selected in no configuration"),
+    ("arc", True): ("selecting the first forces the second",
+                    "a configuration has the first without the second"),
+    ("arc", False): ("no strong dependency recorded", "selecting the first forces the second"),
+    ("edge", True): ("never selected together", "a configuration selects both"),
+    ("edge", False): ("no strong conflict recorded", "they are never selected together"),
+}
+# Expected text for a variable the artifact omits, by what it really is.
+_LISTED_AS = {"core": "listed as core", "dead": "listed as dead",
+              "node": "listed as a configurable node"}
 
 
 def oracle_strong_relations(
@@ -123,6 +144,9 @@ def validate_model(
     when the sample covers all nodes, absence checks are exhaustive too, so
     any single corrupted element of the artifact is reported. With a partial
     sample each node gets at most 10 absence probes per relation kind.
+
+    Each claim is checked by one solve; a wrong claim becomes the
+    discrepancy that the claim table ``_CLAIM_TEXTS`` words for its kind.
     """
     if sample_size < 1:
         raise ValueError(f"sample_size must be positive, got {sample_size}")
@@ -135,145 +159,86 @@ def validate_model(
 
     discrepancies: list[Discrepancy] = []
     suspect: set[int] = set()
+    checked = dict.fromkeys(("core", "dead", "node", "arc", "edge"), 0)
+
+    def agrees(kind: str, features: tuple[int, ...], claimed: bool, holds: bool) -> bool:
+        if claimed != holds:
+            discrepancies.append(Discrepancy(kind, features, *_CLAIM_TEXTS[kind, claimed]))
+        return claimed == holds
 
     # Classification claims, exhaustively.
-    checked_core = checked_dead = 0
-    for c in sorted(graphs.classification.core):
-        checked_core += 1
-        if not unsat(-c):
-            discrepancies.append(Discrepancy(
-                "core", (c,), "selected in every configuration",
-                "a configuration omits it"))
-            suspect.add(c)
-    for d in sorted(graphs.classification.dead):
-        checked_dead += 1
-        if not unsat(d):
-            discrepancies.append(Discrepancy(
-                "dead", (d,), "selected in no configuration",
-                "a configuration selects it"))
-            suspect.add(d)
+    cls = graphs.classification
+    for kind, claims, sign in (("core", cls.core, -1), ("dead", cls.dead, +1)):
+        for v in sorted(claims):
+            checked[kind] += 1
+            if not agrees(kind, (v,), True, unsat(sign * v)):
+                suspect.add(v)
 
     # Coverage: every variable is core, dead, or a node.
-    accounted = graphs.classification.core | graphs.classification.dead | graphs.nodes
+    accounted = cls.core | cls.dead | graphs.nodes
     for v in formula.variables():
         if v in accounted:
             continue
-        if unsat(-v):
-            checked_core += 1
-            discrepancies.append(Discrepancy(
-                "core", (v,), "listed as core", "missing from the artifact"))
-        elif unsat(v):
-            checked_dead += 1
-            discrepancies.append(Discrepancy(
-                "dead", (v,), "listed as dead", "missing from the artifact"))
-        else:
-            discrepancies.append(Discrepancy(
-                "node", (v,), "listed as a configurable node",
-                "missing from the artifact"))
+        kind = "core" if unsat(-v) else "dead" if unsat(v) else "node"
+        if kind != "node":
+            checked[kind] += 1
+        discrepancies.append(Discrepancy(
+            kind, (v,), _LISTED_AS[kind], "missing from the artifact"))
         suspect.add(v)
 
     # Structural rule: relations stay among the configurable nodes.
-    for source, target in sorted(graphs.dep_arcs):
-        for endpoint in (source, target):
-            if endpoint not in graphs.nodes:
-                discrepancies.append(Discrepancy(
-                    "arc", (source, target), "both endpoints configurable nodes",
-                    f"feature {endpoint} is not a node"))
-    for a, b in sorted(graphs.conflict_edges):
-        for endpoint in (a, b):
-            if endpoint not in graphs.nodes:
-                discrepancies.append(Discrepancy(
-                    "edge", (a, b), "both endpoints configurable nodes",
-                    f"feature {endpoint} is not a node"))
+    for kind, pairs in (("arc", graphs.dep_arcs), ("edge", graphs.conflict_edges)):
+        for a, b in sorted(pairs):
+            for endpoint in (a, b):
+                if endpoint not in graphs.nodes:
+                    discrepancies.append(Discrepancy(
+                        kind, (a, b), "both endpoints configurable nodes",
+                        f"feature {endpoint} is not a node"))
 
-    # Node sample.
+    # Node sample: each sampled node must be neither core nor dead.
     rng = random.Random(seed)
     nodes = sorted(graphs.nodes)
     exhaustive = sample_size >= len(nodes)
     sampled = nodes if exhaustive else sorted(rng.sample(nodes, sample_size))
-
-    out_arcs: dict[int, set[int]] = {v: set() for v in nodes}
-    conflicts: dict[int, set[int]] = {v: set() for v in nodes}
-    for source, target in graphs.dep_arcs:
-        out_arcs.setdefault(source, set()).add(target)
-    for a, b in graphs.conflict_edges:
-        conflicts.setdefault(a, set()).add(b)
-        conflicts.setdefault(b, set()).add(a)
-
-    checked_nodes = checked_arcs = checked_edges = 0
-    seen_edges: set[tuple[int, int]] = set()
     for v in sampled:
-        checked_nodes += 1
-        # The node itself must be neither core nor dead.
-        if unsat(-v):
-            discrepancies.append(Discrepancy(
-                "core", (v,), "configurable", "selected in every configuration"))
+        checked["node"] += 1
+        if not (agrees("core", (v,), False, unsat(-v))
+                and agrees("dead", (v,), False, unsat(v))):
             suspect.add(v)
-            continue
-        if unsat(v):
-            discrepancies.append(Discrepancy(
-                "dead", (v,), "configurable", "selected in no configuration"))
-            suspect.add(v)
-            continue
 
+    # Relations: claimed ones must be entailed, absent ones need a witness.
+    # An arc v -> g holds iff (v, -g) is unsat, an edge v - g iff (v, g) is.
+    related = {"arc": defaultdict(set), "edge": defaultdict(set)}
+    for a, b in graphs.dep_arcs:
+        related["arc"][a].add(b)
+    for a, b in graphs.conflict_edges:
+        related["edge"][a].add(b)
+        related["edge"][b].add(a)
+    seen_edges: set[tuple[int, int]] = set()
     for v in sampled:
         if v in suspect:
             continue
-        # Claimed relations must be entailed.
-        for g in sorted(out_arcs.get(v, ())):
-            if g in suspect:
-                continue
-            checked_arcs += 1
-            if not unsat(v, -g):
-                discrepancies.append(Discrepancy(
-                    "arc", (v, g), "selecting the first forces the second",
-                    "a configuration has the first without the second"))
-        for g in sorted(conflicts.get(v, ())):
-            if g in suspect:
-                continue
-            pair = (v, g) if v < g else (g, v)
-            if pair in seen_edges:
-                continue
-            seen_edges.add(pair)
-            checked_edges += 1
-            if not unsat(v, g):
-                discrepancies.append(Discrepancy(
-                    "edge", pair, "never selected together",
-                    "a configuration selects both"))
-        # Absent relations must have witnesses.
-        arc_candidates = [g for g in nodes
-                          if g != v and g not in out_arcs.get(v, ()) and g not in suspect]
-        edge_candidates = [g for g in nodes
-                           if g != v and g not in conflicts.get(v, ()) and g not in suspect]
-        if not exhaustive:
-            arc_candidates = sorted(rng.sample(
-                arc_candidates, min(len(arc_candidates), _PARTIAL_ABSENCE_CAP)))
-            edge_candidates = sorted(rng.sample(
-                edge_candidates, min(len(edge_candidates), _PARTIAL_ABSENCE_CAP)))
-        for g in arc_candidates:
-            checked_arcs += 1
-            if unsat(v, -g):
-                discrepancies.append(Discrepancy(
-                    "arc", (v, g), "no strong dependency recorded",
-                    "selecting the first forces the second"))
-        for g in edge_candidates:
-            pair = (v, g) if v < g else (g, v)
-            if pair in seen_edges:
-                continue
-            seen_edges.add(pair)
-            checked_edges += 1
-            if unsat(v, g):
-                discrepancies.append(Discrepancy(
-                    "edge", pair, "no strong conflict recorded",
-                    "they are never selected together"))
+        for kind, sign in (("arc", -1), ("edge", +1)):
+            claimed = related[kind][v]
+            absent = [g for g in nodes if g != v and g not in claimed and g not in suspect]
+            if not exhaustive:
+                absent = sorted(rng.sample(absent, min(len(absent), _PARTIAL_ABSENCE_CAP)))
+            for g in sorted(claimed - suspect) + absent:
+                pair = (v, g) if kind == "arc" or v < g else (g, v)
+                if kind == "edge":
+                    if pair in seen_edges:
+                        continue
+                    seen_edges.add(pair)
+                checked[kind] += 1
+                agrees(kind, pair, g in claimed, unsat(v, sign * g))
 
     discrepancies.sort(key=lambda d: (d.features, d.kind))
     return ValidationReport(
         model_id=model_id,
-        checked_core=checked_core,
-        checked_dead=checked_dead,
-        checked_nodes=checked_nodes,
-        checked_arcs=checked_arcs,
-        checked_edges=checked_edges,
+        checked_core=checked["core"],
+        checked_dead=checked["dead"],
+        checked_nodes=checked["node"],
+        checked_arcs=checked["arc"],
+        checked_edges=checked["edge"],
         discrepancies=tuple(discrepancies),
     )

@@ -225,6 +225,19 @@ class TestEntryPoint:
         missing = run_script("analyze", str(tmp_path / "missing.fm"))
         assert missing.returncode == cli.EXIT_INPUT_ERROR, missing.stderr
 
+    def test_module_run(self, fixture_file, tmp_path):
+        # ``python -m fmnet.cli`` from a checkout runs the tool like the script.
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+            str(pathlib.Path(fmnet.__file__).resolve().parents[1]), env.get("PYTHONPATH")
+        ]))
+        completed = subprocess.run(
+            [sys.executable, "-m", "fmnet.cli", "analyze", str(fixture_file)],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert completed.returncode == cli.EXIT_OK, completed.stderr
+        assert json.loads(completed.stdout)["num_vars"] == 15
+
     @pytest.mark.skipif(
         not _fmnet_distribution_found(),
         reason="importlib.metadata finds no fmnet distribution",

@@ -103,6 +103,15 @@ class TestLoadManifest:
         with pytest.raises(InputSyntaxError, match="line 3: duplicate model id"):
             load_manifest(manifest)
 
+    def test_error_line_is_the_file_line(self, tmp_path):
+        # The first row's quoted domain spans lines 2-3; the duplicate is on 4.
+        (tmp_path / "m.fm").write_text(SMALL_FM, "utf-8")
+        path = tmp_path / "manifest.csv"
+        path.write_text('id,path,format,domain\nm1,m.fm,fm,"two\nlines"\nm1,m.fm,fm,x\n',
+                        "utf-8")
+        with pytest.raises(InputSyntaxError, match="line 4: duplicate model id 'm1'"):
+            load_manifest(path)
+
     def test_unknown_format_rejected(self, tmp_path):
         (tmp_path / "a.fm").write_text(SMALL_FM, "utf-8")
         manifest = write_corpus(tmp_path, [("a", "a.fm", "xml", "x")])

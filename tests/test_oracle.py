@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -11,7 +12,8 @@ from conftest import (
 )
 from fmnet.cnf import CnfFormula
 from fmnet.errors import EnumerationLimitError, VoidModelError
-from fmnet.oracle import oracle_strong_relations, validate_model
+from fmnet.oracle import Discrepancy, oracle_strong_relations, validate_model
+from fmnet.sat import SatEngine
 from fmnet.strong_graphs import compute_strong_graphs, extract_strong_relations
 
 
@@ -107,8 +109,6 @@ class TestValidateModel:
     def test_structural_endpoint_violation_detected(self):
         # An arc reaching outside the node set is flagged even though the
         # entailment behind it is real.
-        import dataclasses
-
         formula = CnfFormula(num_vars=3, clauses=((1,), (-3, 2)))
         graphs = compute_strong_graphs(formula)
         assert 1 in graphs.classification.core
@@ -137,3 +137,104 @@ class TestValidateModel:
         n = len(graphs.nodes)
         assert report.checked_arcs == n * (n - 1)
         assert report.checked_edges == n * (n - 1) // 2
+
+
+# Variable 1 is core, 5 is dead and 2, 3, 4 are configurable, with the arc
+# 3 -> 2 and the edges 2-4 and 3-4 (3 forces 2, which excludes 4).
+PINNED_FORMULA = CnfFormula(num_vars=5, clauses=((1,), (-5,), (-3, 2), (-2, -4)))
+
+
+def _reclassify(graphs, core=None, dead=None, nodes=None):
+    """A copy whose core, dead and node sets are replaced; relations that
+    leave the node set are dropped, so only the intended fault remains."""
+    cls = graphs.classification
+    core = cls.core if core is None else frozenset(core)
+    dead = cls.dead if dead is None else frozenset(dead)
+    nodes = graphs.nodes if nodes is None else frozenset(nodes)
+    return dataclasses.replace(
+        graphs,
+        nodes=nodes,
+        dep_arcs=frozenset(p for p in graphs.dep_arcs if set(p) <= nodes),
+        conflict_edges=frozenset(p for p in graphs.conflict_edges if set(p) <= nodes),
+        classification=dataclasses.replace(cls, core=core, dead=dead, configurable=nodes),
+    )
+
+
+# fault class -> (corrupt the correct artifact, the one expected discrepancy,
+# checked_core and checked_dead of the report)
+PINNED_FAULTS = {
+    "claimed arc": (
+        lambda g: dataclasses.replace(g, dep_arcs=g.dep_arcs | {(2, 3)}),
+        ("arc", (2, 3), "selecting the first forces the second",
+         "a configuration has the first without the second"), 1, 1),
+    "claimed edge": (
+        lambda g: dataclasses.replace(g, conflict_edges=g.conflict_edges | {(2, 3)}),
+        ("edge", (2, 3), "never selected together", "a configuration selects both"), 1, 1),
+    "claimed core": (
+        lambda g: _reclassify(g, core={1, 2}, nodes={3, 4}),
+        ("core", (2,), "selected in every configuration", "a configuration omits it"), 2, 1),
+    "claimed dead": (
+        lambda g: _reclassify(g, dead={2, 5}, nodes={3, 4}),
+        ("dead", (2,), "selected in no configuration", "a configuration selects it"), 1, 2),
+    "absent arc": (
+        lambda g: dataclasses.replace(g, dep_arcs=g.dep_arcs - {(3, 2)}),
+        ("arc", (3, 2), "no strong dependency recorded",
+         "selecting the first forces the second"), 1, 1),
+    "absent edge": (
+        lambda g: dataclasses.replace(g, conflict_edges=g.conflict_edges - {(2, 4)}),
+        ("edge", (2, 4), "no strong conflict recorded",
+         "they are never selected together"), 1, 1),
+    "core node": (
+        lambda g: _reclassify(g, core=(), nodes={1, 2, 3, 4}),
+        ("core", (1,), "configurable", "selected in every configuration"), 0, 1),
+    "dead node": (
+        lambda g: _reclassify(g, dead=(), nodes={2, 3, 4, 5}),
+        ("dead", (5,), "configurable", "selected in no configuration"), 1, 0),
+    "omitted node": (
+        lambda g: _reclassify(g, nodes={2, 3}),
+        ("node", (4,), "listed as a configurable node", "missing from the artifact"), 1, 1),
+    "omitted core": (
+        lambda g: _reclassify(g, core=()),
+        ("core", (1,), "listed as core", "missing from the artifact"), 1, 1),
+    "omitted dead": (
+        lambda g: _reclassify(g, dead=()),
+        ("dead", (5,), "listed as dead", "missing from the artifact"), 1, 1),
+    "arc endpoint": (
+        lambda g: dataclasses.replace(g, dep_arcs=g.dep_arcs | {(2, 1)}),
+        ("arc", (2, 1), "both endpoints configurable nodes", "feature 1 is not a node"), 1, 1),
+    "edge endpoint": (
+        lambda g: dataclasses.replace(g, conflict_edges=g.conflict_edges | {(2, 5)}),
+        ("edge", (2, 5), "both endpoints configurable nodes", "feature 5 is not a node"), 1, 1),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(PINNED_FAULTS))
+def test_discrepancy_texts_pinned(fault):
+    graphs = compute_strong_graphs(PINNED_FORMULA)
+    assert graphs.classification.core == {1} and graphs.classification.dead == {5}
+    assert graphs.dep_arcs == {(3, 2)} and graphs.conflict_edges == {(2, 4), (3, 4)}
+    corrupt, expected, checked_core, checked_dead = PINNED_FAULTS[fault]
+    report = validate_model(PINNED_FORMULA, corrupt(graphs))
+    assert report.discrepancies == (Discrepancy(*expected),)
+    assert (report.checked_core, report.checked_dead) == (checked_core, checked_dead)
+
+
+@pytest.mark.parametrize("options, solves", [({}, 225), ({"sample_size": 3, "seed": 5}, 70)])
+def test_one_solve_per_check(coreboot_formula, monkeypatch, options, solves):
+    # On a correct artifact every check is one assumption solve, and each
+    # sampled node takes two (not core, not dead).
+    graphs = compute_strong_graphs(coreboot_formula)
+    solve = SatEngine.solve
+    calls = []
+
+    def counted(engine, *args, **kwargs):
+        calls.append(args)
+        return solve(engine, *args, **kwargs)
+
+    monkeypatch.setattr(SatEngine, "solve", counted)
+    report = validate_model(coreboot_formula, graphs, **options)
+    assert report.passed
+    assert len(calls) == solves == (
+        report.checked_core + report.checked_dead + 2 * report.checked_nodes
+        + report.checked_arcs + report.checked_edges
+    )

@@ -11,6 +11,7 @@ import pathlib
 
 import pytest
 
+import fmnet
 import fmnet.corpus
 from fmnet.fixtures import coreboot_graphics_text
 
@@ -52,3 +53,15 @@ def test_traced_analyze_model(tracing, tmp_path):
     # Restored afterwards: an untraced call records nothing.
     fmnet.corpus.analyze_model(path)
     assert len(spans("corpus.analyze_model")) == 1
+
+
+def test_traced_validate_model(tracing, coreboot_formula):
+    graphs = fmnet.compute_strong_graphs(coreboot_formula)
+    tracer = tracing.Tracer()
+    with tracer.installed(tracing.PER_MODEL):
+        assert fmnet.validate_model(coreboot_formula, graphs).passed
+    metrics = tracing.layer_metrics(tracer.spans)
+    assert metrics["oracle.checked_arcs"] == 132
+    assert metrics["oracle.checked_edges"] == 66
+    # One solve per check: 3 core + 2 x 12 nodes + 132 arcs + 66 edges.
+    assert metrics["oracle.solves"] == 225
