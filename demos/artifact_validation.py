@@ -51,7 +51,6 @@ def main() -> None:
     victim = min(graphs.nodes)
     mutated = dataclasses.replace(
         graphs,
-        nodes=frozenset(graphs.nodes - {victim}),
         dep_arcs=frozenset(
             arc for arc in graphs.dep_arcs if victim not in arc
         ),
@@ -61,6 +60,7 @@ def main() -> None:
         classification=dataclasses.replace(
             graphs.classification,
             core=frozenset(graphs.classification.core | {victim}),
+            configurable=frozenset(graphs.classification.configurable - {victim}),
         ),
     )
     print(f"\nartifact claiming {formula.name_of(victim)} is core:")

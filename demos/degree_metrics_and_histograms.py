@@ -55,10 +55,9 @@ def main() -> None:
         print(f"  {node.name:10s} [{flags}] in={node.in_pct:5.1f}% "
               f"out={node.out_pct:5.1f}% conflict={node.conflict_pct:5.1f}%")
 
-    hub_share = metrics.overlap_in_conflict
-    print(f"\nhigh-in nodes that also conflict a lot: "
-          f"{hub_share.pct:.0f}%" if hub_share.defined else
-          "\nno high-in nodes, overlap undefined")
+    hub_share = metrics.overlap_in_conflict_pct
+    print(f"\nhigh-in nodes that also conflict a lot: {hub_share:.0f}%"
+          if hub_share is not None else "\nno high-in nodes, overlap undefined")
 
     for axis in ("in", "out", "conflict"):
         print(f"\n{axis}-degree distribution (share of nodes per bin):")

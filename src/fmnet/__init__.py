@@ -25,7 +25,6 @@ from .metrics import (
     HistogramBin,
     ModelMetrics,
     NodeMetrics,
-    Overlap,
     compute_model_metrics,
     compute_node_metrics,
     degree_distribution,
@@ -72,7 +71,6 @@ __all__ = [
     "InputSyntaxError",
     "ModelMetrics",
     "NodeMetrics",
-    "Overlap",
     "SatEngine",
     "SatOutcome",
     "StatsSummary",

@@ -25,12 +25,10 @@ import json
 import sys
 from pathlib import Path
 
-from .cnf import CnfFormula
 from .corpus import (
     FORMATS,
     analyze_corpus,
     analyze_model,
-    detect_format,
     load_formula,
     load_manifest,
     summary_json,
@@ -92,10 +90,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load(args) -> CnfFormula:
-    return load_formula(args.file, args.format or detect_format(args.file))
-
-
 def _cmd_analyze(args) -> int:
     metrics, _ = analyze_model(
         args.file, args.format, args.threshold, args.out
@@ -129,7 +123,7 @@ def _cmd_export(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    formula = _load(args)
+    formula = load_formula(args.file, args.format)
     graphs = compute_strong_graphs(formula)
     report = validate_model(
         formula, graphs, sample_size=args.sample, seed=args.seed,
@@ -143,7 +137,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    formula = _load(args)
+    formula = load_formula(args.file, args.format)
     classification, oracle_relations = oracle_strong_relations(
         formula, var_limit=args.var_limit
     )

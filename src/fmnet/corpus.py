@@ -20,6 +20,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
+from typing import Iterable
 
 from .cnf import CnfFormula, parse_dimacs
 from .errors import FmnetError, InputSyntaxError
@@ -32,6 +33,7 @@ from .metrics import (
     ModelMetrics,
     compute_model_metrics,
     degree_distribution,
+    validate_threshold,
 )
 from .stats import (
     Alternative,
@@ -81,9 +83,6 @@ class CorpusRecord:
     num_conflict_edges: int
     overlap_in_out_pct: float | None
     overlap_in_conflict_pct: float | None
-
-    def metric(self, name: str) -> float:
-        return getattr(self, name)
 
 
 @dataclass(frozen=True)
@@ -143,7 +142,10 @@ def load_manifest(path: str | Path) -> CorpusManifest:
     return CorpusManifest(tuple(entries))
 
 
-def load_formula(path: str | Path, fmt: str) -> CnfFormula:
+def load_formula(path: str | Path, fmt: str | None = None) -> CnfFormula:
+    """Parse a model file; without ``fmt`` the suffix picks the format."""
+    if fmt is None:
+        fmt = detect_format(path)
     text = Path(path).read_text(encoding="utf-8")
     if fmt == "dimacs":
         return parse_dimacs(text)
@@ -163,6 +165,13 @@ def _float_cell(value: float | None) -> str:
     return repr(float(value))
 
 
+def _write_csv(path: Path, header: list[str], rows: Iterable[list]) -> None:
+    with path.open("w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def analyze_model(
     path: str | Path,
     fmt: str | None = None,
@@ -171,9 +180,8 @@ def analyze_model(
     model_id: str | None = None,
 ) -> tuple[ModelMetrics, StrongGraphs]:
     """Analyze one model file; optionally write its artifact directory."""
+    validate_threshold(threshold_pct)
     path = Path(path)
-    if fmt is None:
-        fmt = detect_format(path)
     if model_id is None:
         model_id = path.stem
     formula = load_formula(path, fmt)
@@ -192,30 +200,20 @@ def write_model_artifacts(
     for fmt in ("dot", "graphml", "json"):
         (model_dir / f"graphs.{fmt}").write_text(export_graph(graphs, fmt), "utf-8")
 
-    with (model_dir / "nodes.csv").open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow([
-            "feature", "name", "in_degree", "out_degree", "conflict_degree",
-            "in_pct", "out_pct", "conflict_pct", "high_in", "high_out", "high_conflict",
-        ])
-        for node in metrics.nodes:
-            writer.writerow([
-                node.feature, node.name,
-                node.in_degree, node.out_degree, node.conflict_degree,
-                _float_cell(node.in_pct), _float_cell(node.out_pct),
-                _float_cell(node.conflict_pct),
-                int(node.high_in), int(node.high_out), int(node.high_conflict),
-            ])
-
-    with (model_dir / "histograms.csv").open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["axis", "bin_low", "bin_high", "share"])
-        for axis in AXES:
-            for hist_bin in degree_distribution(metrics.nodes, axis, DEFAULT_BIN_WIDTH_PCT):
-                writer.writerow([
-                    axis, _float_cell(hist_bin.low), _float_cell(hist_bin.high),
-                    _float_cell(hist_bin.share),
-                ])
+    _write_csv(model_dir / "nodes.csv", [
+        "feature", "name", "in_degree", "out_degree", "conflict_degree",
+        "in_pct", "out_pct", "conflict_pct", "high_in", "high_out", "high_conflict",
+    ], ([
+        node.feature, node.name, node.in_degree, node.out_degree, node.conflict_degree,
+        _float_cell(node.in_pct), _float_cell(node.out_pct), _float_cell(node.conflict_pct),
+        int(node.high_in), int(node.high_out), int(node.high_conflict),
+    ] for node in metrics.nodes))
+    _write_csv(model_dir / "histograms.csv", ["axis", "bin_low", "bin_high", "share"], (
+        [axis, _float_cell(hist_bin.low), _float_cell(hist_bin.high),
+         _float_cell(hist_bin.share)]
+        for axis in AXES
+        for hist_bin in degree_distribution(metrics.nodes, axis, DEFAULT_BIN_WIDTH_PCT)
+    ))
 
     (model_dir / "summary.json").write_text(summary_json(metrics), "utf-8")
     return model_dir
@@ -247,11 +245,8 @@ def summary_json(metrics: ModelMetrics) -> str:
         "exclude_density_x": metrics.exclude_density,
         "threshold_pct": metrics.threshold_pct,
         "overlap": {
-            "high_in_and_high_out_pct":
-                metrics.overlap_in_out.pct if metrics.overlap_in_out.defined else None,
-            "high_in_and_high_conflict_pct":
-                metrics.overlap_in_conflict.pct
-                if metrics.overlap_in_conflict.defined else None,
+            "high_in_and_high_out_pct": metrics.overlap_in_out_pct,
+            "high_in_and_high_conflict_pct": metrics.overlap_in_conflict_pct,
         },
         "max_in_degree": _argmax_block(metrics, "in"),
         "max_out_degree": _argmax_block(metrics, "out"),
@@ -272,11 +267,8 @@ def _record_from(metrics: ModelMetrics, domain: str) -> CorpusRecord:
         exclude_density=metrics.exclude_density,
         num_arcs=metrics.num_arcs,
         num_conflict_edges=metrics.num_conflict_edges,
-        overlap_in_out_pct=(
-            metrics.overlap_in_out.pct if metrics.overlap_in_out.defined else None),
-        overlap_in_conflict_pct=(
-            metrics.overlap_in_conflict.pct
-            if metrics.overlap_in_conflict.defined else None),
+        overlap_in_out_pct=metrics.overlap_in_out_pct,
+        overlap_in_conflict_pct=metrics.overlap_in_conflict_pct,
     )
 
 
@@ -304,7 +296,11 @@ def analyze_corpus(
 ) -> CorpusResult:
     """Analyze every manifest entry; a model that fails to parse, is void
     or raises any other exception is tallied as that model's failure, never
-    fatal for the run."""
+    fatal for the run. A bad threshold or job count raises ValueError before
+    any model is read."""
+    validate_threshold(threshold_pct)
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     out_str = str(out_dir) if out_dir is not None else None
     if jobs > 1 and len(manifest.entries) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -328,13 +324,13 @@ def analyze_corpus(
         rows = [r for r in records if r.domain == domain]
         sizes = [float(r.num_vars) for r in rows]
         domain_stats[domain] = {
-            metric: summarize_metric([r.metric(metric) for r in rows], sizes)
+            metric: summarize_metric([getattr(r, metric) for r in rows], sizes)
             for metric in DOMAIN_METRICS
         }
         for label, metric_a, metric_b in DOMAIN_TESTS:
             result = wilcoxon_signed_rank(
-                [r.metric(metric_a) for r in rows],
-                [r.metric(metric_b) for r in rows],
+                [getattr(r, metric_a) for r in rows],
+                [getattr(r, metric_b) for r in rows],
                 Alternative.A_GREATER,
             )
             tests.append(DomainTest(domain, label, result))
@@ -347,50 +343,44 @@ def analyze_corpus(
 
 def write_corpus_tables(out_dir: Path, result: CorpusResult) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    with (out_dir / "corpus.csv").open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow([
-            "id", "domain", "num_vars", "num_configurable",
-            "core_pct", "dead_pct", "require_density", "exclude_density",
-            "num_arcs", "num_conflict_edges",
-            "overlap_in_out_pct", "overlap_in_conflict_pct",
-        ])
-        for r in result.records:
-            writer.writerow([
-                r.model_id, r.domain, r.num_vars, r.num_configurable,
-                _float_cell(r.core_pct), _float_cell(r.dead_pct),
-                _float_cell(r.require_density), _float_cell(r.exclude_density),
-                r.num_arcs, r.num_conflict_edges,
-                _float_cell(r.overlap_in_out_pct),
-                _float_cell(r.overlap_in_conflict_pct),
-            ])
+    _write_csv(out_dir / "corpus.csv", [
+        "id", "domain", "num_vars", "num_configurable",
+        "core_pct", "dead_pct", "require_density", "exclude_density",
+        "num_arcs", "num_conflict_edges",
+        "overlap_in_out_pct", "overlap_in_conflict_pct",
+    ], ([
+        r.model_id, r.domain, r.num_vars, r.num_configurable,
+        _float_cell(r.core_pct), _float_cell(r.dead_pct),
+        _float_cell(r.require_density), _float_cell(r.exclude_density),
+        r.num_arcs, r.num_conflict_edges,
+        _float_cell(r.overlap_in_out_pct), _float_cell(r.overlap_in_conflict_pct),
+    ] for r in result.records))
 
-    with (out_dir / "domain_stats.csv").open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["domain", "metric", "n", "median", "ci_low", "ci_high", "rho"])
-        for domain in sorted(result.domain_stats):
-            for metric in DOMAIN_METRICS:
-                summary = result.domain_stats[domain][metric]
-                writer.writerow([
-                    domain, metric, summary.n,
-                    _float_cell(summary.median),
-                    _float_cell(summary.ci_low), _float_cell(summary.ci_high),
-                    _float_cell(summary.rho),
-                ])
-
-    with (out_dir / "tests.csv").open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow([
-            "domain", "hypothesis", "n_pairs", "n_effective", "w_statistic",
-            "z_value", "p_value", "significant", "effect_size_r", "effect_label",
-            "degenerate",
-        ])
-        for test in result.tests:
-            res = test.result
-            writer.writerow([
-                test.domain, test.hypothesis, res.n_pairs, res.n_effective,
-                _float_cell(res.w_statistic), _float_cell(res.z_value),
-                _float_cell(res.p_value), int(res.significant()),
-                _float_cell(res.effect_size_r), res.effect_label,
-                int(res.degenerate),
+    stat_rows = []
+    for domain in sorted(result.domain_stats):
+        for metric in DOMAIN_METRICS:
+            summary = result.domain_stats[domain][metric]
+            stat_rows.append([
+                domain, metric, summary.n,
+                _float_cell(summary.median),
+                _float_cell(summary.ci_low), _float_cell(summary.ci_high),
+                _float_cell(summary.rho),
             ])
+    _write_csv(out_dir / "domain_stats.csv",
+               ["domain", "metric", "n", "median", "ci_low", "ci_high", "rho"], stat_rows)
+
+    test_rows = []
+    for test in result.tests:
+        res = test.result
+        test_rows.append([
+            test.domain, test.hypothesis, res.n_pairs, res.n_effective,
+            _float_cell(res.w_statistic), _float_cell(res.z_value),
+            _float_cell(res.p_value), int(res.significant()),
+            _float_cell(res.effect_size_r), res.effect_label,
+            int(res.degenerate),
+        ])
+    _write_csv(out_dir / "tests.csv", [
+        "domain", "hypothesis", "n_pairs", "n_effective", "w_statistic",
+        "z_value", "p_value", "significant", "effect_size_r", "effect_label",
+        "degenerate",
+    ], test_rows)

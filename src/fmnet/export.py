@@ -122,7 +122,6 @@ def graphs_from_json(text: str) -> StrongGraphs:
             configurable=groups["nodes"],
         )
         return StrongGraphs(
-            nodes=groups["nodes"],
             dep_arcs=frozenset((a, b) for a, b in payload["arcs"]),
             conflict_edges=frozenset((a, b) for a, b in payload["conflict_edges"]),
             classification=classification,

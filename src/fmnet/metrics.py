@@ -6,7 +6,9 @@ so 100% means "every other configurable feature strongly depends on this
 one". A node is a high-degree node on an axis when that percentage reaches
 the threshold (default 10%). Whole-model densities divide relation counts by
 the total variable count, so they compare models of different sizes; they
-read as "relations per feature".
+read as "relations per feature". The hub overlaps are the shares of high-in
+nodes that are also high-out or high-conflict; each is None when no node
+is high-in, which is not the same as a share of 0.
 """
 
 from __future__ import annotations
@@ -43,22 +45,6 @@ class NodeMetrics:
         return {"in": self.in_pct, "out": self.out_pct,
                 "conflict": self.conflict_pct}[axis]
 
-    def high(self, axis: str) -> bool:
-        return {"in": self.high_in, "out": self.high_out,
-                "conflict": self.high_conflict}[axis]
-
-
-@dataclass(frozen=True)
-class Overlap:
-    """Conditional share of high-in nodes that are also high on another axis.
-
-    Undefined (and so flagged) when there are no high-in nodes at all; the
-    value is 0.0 then, but serialized output distinguishes the two cases.
-    """
-
-    pct: float
-    defined: bool
-
 
 @dataclass(frozen=True)
 class ModelMetrics:
@@ -75,8 +61,8 @@ class ModelMetrics:
     exclude_density: float
     threshold_pct: float
     nodes: tuple[NodeMetrics, ...]
-    overlap_in_out: Overlap
-    overlap_in_conflict: Overlap
+    overlap_in_out_pct: float | None
+    overlap_in_conflict_pct: float | None
 
 
 @dataclass(frozen=True)
@@ -86,7 +72,7 @@ class HistogramBin:
     share: float
 
 
-def _validate_threshold(threshold_pct: float) -> None:
+def validate_threshold(threshold_pct: float) -> None:
     if not 0 < threshold_pct <= 100:
         raise ValueError(f"threshold_pct must be in (0, 100], got {threshold_pct}")
 
@@ -99,7 +85,7 @@ def compute_node_metrics(
     With fewer than two configurable nodes every percentage is 0 (there is
     nobody to relate to), so no node is high on any axis.
     """
-    _validate_threshold(threshold_pct)
+    validate_threshold(threshold_pct)
     nodes = sorted(graphs.nodes)
     in_deg = {v: 0 for v in nodes}
     out_deg = {v: 0 for v in nodes}
@@ -142,21 +128,16 @@ def compute_model_metrics(
     model_id: str = "",
 ) -> ModelMetrics:
     """Whole-model summary: classification shares, densities, hub overlap."""
-    _validate_threshold(threshold_pct)
     nodes = compute_node_metrics(graphs, threshold_pct)
     num_vars = graphs.classification.num_vars
     core = len(graphs.classification.core)
     dead = len(graphs.classification.dead)
 
     high_in = [n for n in nodes if n.high_in]
+    overlap_in_out = overlap_in_conflict = None
     if high_in:
-        out_share = 100.0 * sum(n.high_out for n in high_in) / len(high_in)
-        conflict_share = 100.0 * sum(n.high_conflict for n in high_in) / len(high_in)
-        overlap_in_out = Overlap(out_share, defined=True)
-        overlap_in_conflict = Overlap(conflict_share, defined=True)
-    else:
-        overlap_in_out = Overlap(0.0, defined=False)
-        overlap_in_conflict = Overlap(0.0, defined=False)
+        overlap_in_out = 100.0 * sum(n.high_out for n in high_in) / len(high_in)
+        overlap_in_conflict = 100.0 * sum(n.high_conflict for n in high_in) / len(high_in)
 
     return ModelMetrics(
         model_id=model_id,
@@ -172,8 +153,8 @@ def compute_model_metrics(
         exclude_density=len(graphs.conflict_edges) / num_vars if num_vars else 0.0,
         threshold_pct=threshold_pct,
         nodes=nodes,
-        overlap_in_out=overlap_in_out,
-        overlap_in_conflict=overlap_in_conflict,
+        overlap_in_out_pct=overlap_in_out,
+        overlap_in_conflict_pct=overlap_in_conflict,
     )
 
 

@@ -81,23 +81,24 @@ class StrongRelations:
     conflicts_with: frozenset[int]
 
 
-StrongRelationMap = Mapping[int, StrongRelations]
-
-
 @dataclass(frozen=True)
 class StrongGraphs:
     """Dependency arcs and conflict edges over the configurable features.
 
+    ``nodes`` is the classification's configurable set, held only there.
     ``conflict_edges`` holds canonical unordered pairs (smaller index first),
     each symmetric conflict appearing exactly once. ``names`` is carried for
     reporting; missing entries fall back to ``v<index>``.
     """
 
-    nodes: frozenset[int]
     dep_arcs: frozenset[Arc]
     conflict_edges: frozenset[Arc]
     classification: FeatureClassification
     names: Mapping[int, str]
+
+    @property
+    def nodes(self) -> frozenset[int]:
+        return self.classification.configurable
 
     def name_of(self, var: int) -> str:
         return self.names.get(var, f"v{var}")
@@ -229,7 +230,7 @@ def extract_strong_relations(
 
 def build_strong_graphs(
     classification: FeatureClassification,
-    relations: StrongRelationMap,
+    relations: Mapping[int, StrongRelations],
     *,
     names: Mapping[int, str] | None = None,
 ) -> StrongGraphs:
@@ -245,7 +246,6 @@ def build_strong_graphs(
         for g in rel.conflicts_with:
             edges.add((v, g) if v < g else (g, v))
     return StrongGraphs(
-        nodes=frozenset(classification.configurable),
         dep_arcs=frozenset(arcs),
         conflict_edges=frozenset(edges),
         classification=classification,

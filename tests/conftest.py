@@ -236,7 +236,6 @@ def apply_mutation(graphs, kind: str, rng: random.Random):
         )
         return dataclasses.replace(
             graphs,
-            nodes=graphs.nodes - {chosen},
             dep_arcs=frozenset(p for p in graphs.dep_arcs if chosen not in p),
             conflict_edges=frozenset(
                 p for p in graphs.conflict_edges if chosen not in p),
@@ -248,16 +247,14 @@ def apply_mutation(graphs, kind: str, rng: random.Random):
         chosen = rng.choice(sorted(cls.core))
         new_cls = dataclasses.replace(
             cls, core=cls.core - {chosen}, configurable=cls.configurable | {chosen})
-        return dataclasses.replace(
-            graphs, nodes=graphs.nodes | {chosen}, classification=new_cls)
+        return dataclasses.replace(graphs, classification=new_cls)
     if kind == "remove_dead":
         if not cls.dead:
             return None
         chosen = rng.choice(sorted(cls.dead))
         new_cls = dataclasses.replace(
             cls, dead=cls.dead - {chosen}, configurable=cls.configurable | {chosen})
-        return dataclasses.replace(
-            graphs, nodes=graphs.nodes | {chosen}, classification=new_cls)
+        return dataclasses.replace(graphs, classification=new_cls)
     if kind == "drop_node":
         if not nodes:
             return None
@@ -265,7 +262,6 @@ def apply_mutation(graphs, kind: str, rng: random.Random):
         new_cls = dataclasses.replace(cls, configurable=cls.configurable - {chosen})
         return dataclasses.replace(
             graphs,
-            nodes=graphs.nodes - {chosen},
             dep_arcs=frozenset(p for p in graphs.dep_arcs if chosen not in p),
             conflict_edges=frozenset(
                 p for p in graphs.conflict_edges if chosen not in p),

@@ -57,6 +57,11 @@ class TestAnalyze:
         path.write_text(VOID_DIMACS, "utf-8")
         assert cli.main(["analyze", str(path)]) == cli.EXIT_VOID_MODEL
 
+    def test_bad_threshold_is_input_error(self, fixture_file, capsys):
+        assert cli.main(["analyze", str(fixture_file), "--threshold", "0"]) == cli.EXIT_INPUT_ERROR
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line == "error: threshold_pct must be in (0, 100], got 0.0"
+
     def test_empty_clause_is_void_model(self, tmp_path, capsys):
         path = tmp_path / "empty_clause.cnf"
         path.write_text("p cnf 2 2\n1 2 0\n0\n", "utf-8")
@@ -92,6 +97,23 @@ class TestCorpus:
         manifest = tmp_path / "manifest.csv"
         manifest.write_text("id,path,format,domain\nx,ghost.fm,fm,d\n", "utf-8")
         assert cli.main(["corpus", str(manifest)]) == cli.EXIT_INPUT_ERROR
+
+    @pytest.mark.parametrize("option", [
+        ["--threshold", "0"], ["--jobs", "0"], ["--jobs", "-2"],
+    ])
+    def test_bad_option_is_one_input_error(self, fixture_file, tmp_path, capsys, option):
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text(
+            "id,path,format,domain\n"
+            f"a,{fixture_file.name},fm,systems\nb,{fixture_file.name},fm,systems\n",
+            "utf-8",
+        )
+        out = tmp_path / "corpus-out"
+        code = cli.main(["corpus", str(manifest), "--out", str(out), *option])
+        assert code == cli.EXIT_INPUT_ERROR
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: ")
+        assert not out.exists()
 
 
 class TestExport:

@@ -275,3 +275,47 @@ class TestAnalyzeCorpus:
     def test_parallel_matches_serial(self, tmp_path):
         manifest = load_manifest(self.build(tmp_path))
         assert analyze_corpus(manifest) == analyze_corpus(manifest, jobs=4)
+
+
+class TestArgumentsCheckedFirst:
+    """A bad threshold or job count is an error before any model is read,
+    not one tallied failure per model after every extraction."""
+
+    @pytest.fixture
+    def extractions(self, monkeypatch):
+        calls = []
+        real = fmnet.corpus.compute_strong_graphs
+
+        def counted(formula):
+            calls.append(formula)
+            return real(formula)
+
+        monkeypatch.setattr(fmnet.corpus, "compute_strong_graphs", counted)
+        return calls
+
+    def manifest(self, tmp_path):
+        (tmp_path / "a.fm").write_text(SMALL_FM, "utf-8")
+        return load_manifest(write_corpus(tmp_path, [("a", "a.fm", "fm", "x")]))
+
+    def test_calls_are_counted(self, tmp_path, extractions):
+        analyze_corpus(self.manifest(tmp_path))
+        assert len(extractions) == 1
+
+    @pytest.mark.parametrize("threshold", [0.0, -5.0, 100.5])
+    def test_corpus_threshold(self, tmp_path, extractions, threshold):
+        with pytest.raises(ValueError, match="threshold_pct must be in"):
+            analyze_corpus(self.manifest(tmp_path), threshold_pct=threshold)
+        assert extractions == []
+
+    @pytest.mark.parametrize("jobs", [0, -2])
+    def test_corpus_jobs(self, tmp_path, extractions, jobs):
+        with pytest.raises(ValueError, match=f"jobs must be at least 1, got {jobs}"):
+            analyze_corpus(self.manifest(tmp_path), jobs=jobs)
+        assert extractions == []
+
+    def test_model_threshold(self, tmp_path, extractions):
+        path = tmp_path / "a.fm"
+        path.write_text(SMALL_FM, "utf-8")
+        with pytest.raises(ValueError, match="threshold_pct must be in"):
+            analyze_model(path, threshold_pct=0.0)
+        assert extractions == []

@@ -18,7 +18,6 @@ def graphs_of(num_vars, core, dead, arcs, edges, names=None):
     configurable = frozenset(set(range(1, num_vars + 1)) - core - dead)
     classification = FeatureClassification(num_vars, core, dead, configurable)
     return StrongGraphs(
-        nodes=configurable,
         dep_arcs=frozenset(arcs),
         conflict_edges=frozenset(edges),
         classification=classification,
@@ -61,7 +60,6 @@ class TestNodeMetrics:
         assert node.degree("out") == 0
         assert node.degree("conflict") == 1
         assert node.pct("in") == node.in_pct
-        assert node.high("conflict") == node.high_conflict
 
     def test_threshold_validation(self):
         graphs = graphs_of(2, (), (), (), ())
@@ -91,15 +89,14 @@ class TestModelMetrics:
         metrics = compute_model_metrics(graphs)
         # High-in nodes: 2 (in 2) and 3 (in 1). Node 2 is also high-out and
         # high-conflict; node 3 is neither.
-        assert metrics.overlap_in_out.defined
-        assert metrics.overlap_in_out.pct == 50.0
-        assert metrics.overlap_in_conflict.pct == 50.0
+        assert metrics.overlap_in_out_pct == 50.0
+        assert metrics.overlap_in_conflict_pct == 50.0
 
     def test_overlap_undefined_without_high_in_nodes(self):
         graphs = graphs_of(5, (), (), (), {(1, 2)})
         metrics = compute_model_metrics(graphs, threshold_pct=80.0)
-        assert not metrics.overlap_in_out.defined
-        assert metrics.overlap_in_out.pct == 0.0
+        assert metrics.overlap_in_out_pct is None
+        assert metrics.overlap_in_conflict_pct is None
 
     def test_degree_sums_match_relation_counts(self):
         rng = random.Random(1234)

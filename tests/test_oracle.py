@@ -153,7 +153,6 @@ def _reclassify(graphs, core=None, dead=None, nodes=None):
     nodes = graphs.nodes if nodes is None else frozenset(nodes)
     return dataclasses.replace(
         graphs,
-        nodes=nodes,
         dep_arcs=frozenset(p for p in graphs.dep_arcs if set(p) <= nodes),
         conflict_edges=frozenset(p for p in graphs.conflict_edges if set(p) <= nodes),
         classification=dataclasses.replace(cls, core=core, dead=dead, configurable=nodes),
