@@ -51,7 +51,7 @@ def main() -> None:
     print(f"analyzed {len(result.records)} models, "
           f"{len(result.failures)} failures\n")
 
-    print("domain medians with 5..95% coverage intervals:")
+    print("domain medians with 95% coverage intervals (2.5th..97.5th percentiles):")
     for domain, stats in sorted(result.domain_stats.items()):
         print(f"  {domain}:")
         for metric, summary in stats.items():

@@ -32,7 +32,6 @@ from .metrics import (
 from .oracle import Discrepancy, ValidationReport, oracle_strong_relations, validate_model
 from .sat import SatEngine, SatOutcome, Status, enumerate_models
 from .stats import (
-    Alternative,
     StatsSummary,
     WilcoxonResult,
     effect_label,
@@ -55,7 +54,6 @@ from .strong_graphs import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Alternative",
     "Backbone",
     "Clause",
     "CnfFormula",

@@ -36,7 +36,6 @@ from .metrics import (
     validate_threshold,
 )
 from .stats import (
-    Alternative,
     StatsSummary,
     WilcoxonResult,
     summarize_metric,
@@ -123,8 +122,11 @@ def load_manifest(path: str | Path) -> CorpusManifest:
             if None in row.values():  # csv pads a short row with None
                 raise InputSyntaxError("row has fewer columns than the header", row_no)
             model_id = row["id"].strip()
-            if not model_id:
-                raise InputSyntaxError("empty model id", row_no)
+            # The id names the model's directory under the output directory.
+            if model_id in ("", ".", "..") or "/" in model_id or "\\" in model_id:
+                raise InputSyntaxError(
+                    f"model id {model_id!r} is not a plain directory name", row_no
+                )
             if model_id in seen:
                 raise InputSyntaxError(f"duplicate model id {model_id!r}", row_no)
             seen.add(model_id)
@@ -331,7 +333,6 @@ def analyze_corpus(
             result = wilcoxon_signed_rank(
                 [getattr(r, metric_a) for r in rows],
                 [getattr(r, metric_b) for r in rows],
-                Alternative.A_GREATER,
             )
             tests.append(DomainTest(domain, label, result))
 

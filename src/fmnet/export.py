@@ -107,23 +107,35 @@ def graphs_from_json(text: str) -> StrongGraphs:
     """
     try:
         payload = json.loads(text)
+        num_vars = payload["num_vars"]
+        if type(num_vars) is not int:
+            raise ValueError(f"num_vars {num_vars!r} is not an int")
         names = {}
         groups = {}
         for key in ("nodes", "core", "dead"):
             indices = set()
             for entry in payload[key]:
-                indices.add(entry["index"])
-                names[entry["index"]] = entry["name"]
+                index, name = entry["index"], entry["name"]
+                # type(), not isinstance(): JSON's true is no index.
+                if type(index) is not int or not 1 <= index <= num_vars or type(name) is not str:
+                    raise ValueError(f"bad {key} entry {entry!r}")
+                indices.add(index)
+                names[index] = name
             groups[key] = frozenset(indices)
+        arcs, edges = (
+            frozenset((a, b) for a, b in payload[key]) for key in ("arcs", "conflict_edges")
+        )
+        if any(type(end) is not int for pair in (*arcs, *edges) for end in pair):
+            raise ValueError("an arc or conflict edge has an endpoint that is not an int")
         classification = FeatureClassification(
-            num_vars=payload["num_vars"],
+            num_vars=num_vars,
             core=groups["core"],
             dead=groups["dead"],
             configurable=groups["nodes"],
         )
         return StrongGraphs(
-            dep_arcs=frozenset((a, b) for a, b in payload["arcs"]),
-            conflict_edges=frozenset((a, b) for a, b in payload["conflict_edges"]),
+            dep_arcs=arcs,
+            conflict_edges=edges,
             classification=classification,
             names=names,
         )

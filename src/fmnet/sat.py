@@ -12,7 +12,9 @@ the semantic contract; which model comes back is an implementation detail
 that tests must not rely on beyond "it satisfies the formula".
 
 A model leaves this module as one integer, the bitmask of the variables it
-sets true (bit v for variable v, bit 0 clear); no other module decodes one.
+sets true (bit v for variable v, bit 0 clear). What propagation implies
+leaves it as masks too, one of the variables set true and one of those set
+false. No other module decodes either.
 """
 
 from __future__ import annotations
@@ -104,9 +106,8 @@ class SatEngine:
 
     def add_clause(self, literals: Iterable[int]) -> None:
         """Add a clause; safe between solve calls."""
-        if not self._ok:
+        if not self._at_root():
             return
-        self._cancel_until(0)
         normalized = normalize_clause(literals)
         if normalized is None:  # tautology
             return
@@ -127,57 +128,38 @@ class SatEngine:
             return
         if len(lits) == 1:
             self._assign(lits[0], -1)
-            if self._propagate() is not None:
-                self._ok = False
+            self._at_root()
             return
         cid = len(self._clauses)
         self._clauses.append(lits)
         self._watches[lits[0]].append(cid)
         self._watches[lits[1]].append(cid)
 
-    def implied_literals(self, assumptions: Sequence[int]) -> list[int] | None:
-        """Literals that unit propagation alone derives from the assumptions.
+    def implied_literals(self, assumptions: Sequence[int]) -> tuple[int, int] | None:
+        """What unit propagation alone derives from the assumptions.
 
-        Returns the signed literals assigned above the root level, the
-        assumptions included, in the order they were assigned; None when
-        propagation runs into a conflict. Literals already fixed at the root
-        are not listed. Nothing is decided or learned, and the engine is
-        left at level 0.
+        Returns ``(true_mask, false_mask)``, the variables set true and set
+        false above the root level (bit v for variable v), the assumptions
+        included; None when propagation runs into a conflict. Variables fixed
+        at the root are left out. Nothing is learned.
         """
-        assumption_codes = self._assumption_codes(assumptions)
-        if not self._ok:
+        codes = self._assumption_codes(assumptions)
+        if not self._at_root():
             return None
-        self._cancel_until(0)
-        if self._propagate() is not None:
-            self._ok = False
-            return None
-        for code in assumption_codes:
-            value = self._values[code >> 1] ^ (code & 1)
-            if value == _TRUE:
-                continue
-            if value == _FALSE:
-                self._cancel_until(0)
+        root = len(self._trail)
+        for code in codes:
+            if not self._decide(code) or self._propagate() is not None:
                 return None
-            self._trail_lim.append(len(self._trail))
-            self._assign(code, -1)
-            if self._propagate() is not None:
-                self._cancel_until(0)
-                return None
-        bound = self._trail_lim[0] if self._trail_lim else len(self._trail)
-        implied = [-(code >> 1) if code & 1 else code >> 1 for code in self._trail[bound:]]
-        self._cancel_until(0)
-        return implied
+        masks = [0, 0]
+        for code in self._trail[root:]:
+            masks[code & 1] |= 1 << (code >> 1)
+        return masks[0], masks[1]
 
     def solve(self, assumptions: Sequence[int] = ()) -> SatOutcome:
         """Decide satisfiability of the clauses under the given assumptions."""
         self.num_solve_calls += 1
-        assumption_codes = self._assumption_codes(assumptions)
-        if not self._ok:
-            return SatOutcome(Status.UNSAT)
-
-        self._cancel_until(0)
-        if self._propagate() is not None:
-            self._ok = False
+        codes = self._assumption_codes(assumptions)
+        if not self._at_root():
             return SatOutcome(Status.UNSAT)
 
         conflicts = 0
@@ -201,28 +183,18 @@ class SatEngine:
                 self._cancel_until(0)
                 continue
             # Next decision: pending assumptions first, then the heuristic.
-            code = None
             level = len(self._trail_lim)
-            while level < len(assumption_codes):
-                candidate = assumption_codes[level]
-                value = self._values[candidate >> 1] ^ (candidate & 1)
-                if value == _TRUE:
-                    self._trail_lim.append(len(self._trail))
-                    level += 1
-                elif value == _FALSE:
-                    return SatOutcome(Status.UNSAT)
-                else:
-                    code = candidate
-                    break
-            if code is None:
+            if level < len(codes):
+                code = codes[level]
+            else:
                 var = self._pick_var()
                 if var is None:
                     # Entry 0 is never assigned, so bit 0 comes out clear.
                     digits = bytes(reversed(self._values)).translate(_MODEL_DIGITS)
                     return SatOutcome(Status.SAT, int(digits, 2))
                 code = (var << 1) | (not self._saved_phase[var])
-            self._trail_lim.append(len(self._trail))
-            self._assign(code, -1)
+            if not self._decide(code):
+                return SatOutcome(Status.UNSAT)
 
     # ---- internals ----
 
@@ -234,6 +206,28 @@ class SatEngine:
                 raise ValueError(f"assumption {lit} out of range 1..{self.num_vars}")
             codes.append((var << 1) | (lit < 0))
         return codes
+
+    def _at_root(self) -> bool:
+        """Back to level 0 with the root propagated; False once unsatisfiable."""
+        if self._ok:
+            self._cancel_until(0)
+            self._ok = self._propagate() is None
+        return self._ok
+
+    def _decide(self, code: int) -> bool:
+        """Open the next decision level with literal ``code``.
+
+        A literal already true gets an empty level, so level i always
+        belongs to assumption i. Returns False, opening nothing, when the
+        literal is already false.
+        """
+        value = self._values[code >> 1] ^ (code & 1)
+        if value == _FALSE:
+            return False
+        self._trail_lim.append(len(self._trail))
+        if value != _TRUE:
+            self._assign(code, -1)
+        return True
 
     def _assign(self, code: int, reason: int) -> None:
         var = code >> 1

@@ -13,24 +13,16 @@ Conventions, chosen once and used everywhere:
 - The signed-rank test drops zero differences, average-ranks ties, takes W
   as the sum of ranks of positive differences, and approximates the null by
   a normal with tie-corrected variance and a 0.5 continuity correction. The
-  p-value is one-sided in the direction named by ``alternative``; effect
-  size is r = Z / sqrt(N) over the non-zero pairs.
+  p-value is one-sided, against the alternative that a is larger than b;
+  effect size is r = Z / sqrt(N) over the non-zero pairs.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
-
-
-class Alternative(enum.Enum):
-    """Direction of a one-sided paired comparison."""
-
-    A_GREATER = "a_greater"
-    B_GREATER = "b_greater"
 
 
 @dataclass(frozen=True)
@@ -138,18 +130,13 @@ def _normal_sf(z: float) -> float:
     return 0.5 * math.erfc(z / math.sqrt(2.0))
 
 
-def wilcoxon_signed_rank(
-    a: Sequence[float],
-    b: Sequence[float],
-    alternative: Alternative | str,
-) -> WilcoxonResult:
-    """One-sided paired signed-rank test of a against b.
+def wilcoxon_signed_rank(a: Sequence[float], b: Sequence[float]) -> WilcoxonResult:
+    """One-sided paired signed-rank test that a is larger than b.
 
-    ``alternative`` says which side is hypothesized larger. When every pair
-    is tied the test carries no information; the result is flagged degenerate
-    with the p = 0.5 convention, W = 0, Z = 0 and a negligible effect.
+    For the other direction, swap the samples. When every pair is tied the
+    test carries no information; the result is flagged degenerate with the
+    p = 0.5 convention, W = 0, Z = 0 and a negligible effect.
     """
-    alternative = Alternative(alternative)
     if len(a) != len(b):
         raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
     if len(a) == 0:
@@ -174,18 +161,11 @@ def wilcoxon_signed_rank(
     variance -= float(sum(t ** 3 - t for t in tie_counts)) / 48.0
     sigma = math.sqrt(variance)
 
-    if alternative is Alternative.A_GREATER:
-        z = (w - mean - 0.5) / sigma
-        p = _normal_sf(z)
-    else:
-        z = (w - mean + 0.5) / sigma
-        # Lower tail as sf(-z), not 1 - sf(z): swapping the samples and the
-        # direction then yields the exact same p, bit for bit.
-        p = _normal_sf(-z)
+    z = (w - mean - 0.5) / sigma
     r = z / math.sqrt(n)
     return WilcoxonResult(
         n_pairs=len(a), n_effective=n, w_statistic=w, z_value=z,
-        p_value=p, effect_size_r=r, effect_label=effect_label(r),
+        p_value=_normal_sf(z), effect_size_r=r, effect_label=effect_label(r),
         degenerate=False,
     )
 

@@ -130,14 +130,10 @@ def _forced(
     forced_true = forced_false = 0
     if true_open | false_open:
         # Never None: the callers' assumptions are satisfiable.
-        for lit in engine.implied_literals(assumptions) or ():
-            bit = 1 << abs(lit)
-            if lit > 0 and true_open & bit:
-                forced_true |= bit
-                true_open &= ~bit
-            elif lit < 0 and false_open & bit:
-                forced_false |= bit
-                false_open &= ~bit
+        implied_true, implied_false = engine.implied_literals(assumptions)
+        forced_true, forced_false = true_open & implied_true, false_open & implied_false
+        true_open ^= forced_true
+        false_open ^= forced_false
     for g in (*_members(true_open), *_members(false_open)):
         bit = 1 << g
         if true_open & bit:

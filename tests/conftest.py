@@ -156,8 +156,8 @@ def average_ranks_reference(values) -> list[float]:
     return ranks
 
 
-def exact_wilcoxon_p(a, b, alternative: str) -> float:
-    """One-sided signed-rank p-value by enumerating all sign patterns."""
+def exact_wilcoxon_p(a, b) -> float:
+    """One-sided (a larger) signed-rank p-value by enumerating all sign patterns."""
     diffs = [x - y for x, y in zip(a, b)]
     nonzero = [d for d in diffs if d != 0]
     n = len(nonzero)
@@ -167,10 +167,7 @@ def exact_wilcoxon_p(a, b, alternative: str) -> float:
     hits = 0
     for pattern in range(1 << n):
         w = sum(ranks[i] for i in range(n) if pattern >> i & 1)
-        if alternative == "a_greater":
-            hits += w >= observed - 1e-9
-        else:
-            hits += w <= observed + 1e-9
+        hits += w >= observed - 1e-9
     return hits / (1 << n)
 
 

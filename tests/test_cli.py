@@ -18,6 +18,17 @@ GOOD_DIMACS = "p cnf 2 1\n1 2 0\n"
 VOID_DIMACS = "p cnf 1 2\n1 0\n-1 0\n"
 
 
+def _graphs_text(**fields):
+    """A graphs.json text over two features, ``fields`` replacing sound ones."""
+    payload = {
+        "num_vars": 2,
+        "nodes": [{"index": 1, "name": "A"}, {"index": 2, "name": "B"}],
+        "core": [], "dead": [], "arcs": [[1, 2]], "conflict_edges": [],
+    }
+    payload.update(fields)
+    return json.dumps(payload)
+
+
 @pytest.fixture
 def fixture_file(tmp_path):
     path = tmp_path / "coreboot_graphics.fm"
@@ -133,8 +144,21 @@ class TestExport:
             == cli.EXIT_INPUT_ERROR
         )
 
-    @pytest.mark.parametrize("text", ['{"num_vars": 1}', "[1, 2]", '{"nodes": [7]}', "{"])
+    @pytest.mark.parametrize("text", [
+        '{"num_vars": 1}', "[1, 2]", '{"nodes": [7]}', "{",
+        _graphs_text(num_vars="2"),
+        _graphs_text(nodes=[{"index": "1", "name": "A"}]),
+        _graphs_text(nodes=[{"index": True, "name": "A"}]),
+        _graphs_text(nodes=[{"index": 3, "name": "A"}]),
+        _graphs_text(core=[{"index": 0, "name": "A"}]),
+        _graphs_text(dead=[{"index": 1, "name": 5}]),
+        _graphs_text(arcs=[[1, "2"]]),
+        _graphs_text(arcs=[[1, 2, 3]]),
+        _graphs_text(conflict_edges=[[1.0, 2]]),
+        _graphs_text(conflict_edges=[[True, 2]]),
+    ])
     def test_not_a_graphs_artifact(self, tmp_path, capsys, text):
+        fmnet.graphs_from_json(_graphs_text())  # the sound base payload parses
         (tmp_path / "graphs.json").write_text(text, "utf-8")
         assert (
             cli.main(["export", str(tmp_path), "--format", "dot"])

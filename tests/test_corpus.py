@@ -112,6 +112,18 @@ class TestLoadManifest:
         with pytest.raises(InputSyntaxError, match="line 4: duplicate model id 'm1'"):
             load_manifest(path)
 
+    @pytest.mark.parametrize("model_id", ["../escaped", ".", "..", "sub/dir", "a\\b", " "])
+    def test_id_must_be_a_plain_directory_name(self, tmp_path, model_id):
+        # The id names the model's directory under --out, so it must not
+        # leave it, share it with the corpus tables or nest.
+        (tmp_path / "a.fm").write_text(SMALL_FM, "utf-8")
+        manifest = write_corpus(tmp_path, [
+            ("ok", "a.fm", "fm", "x"),
+            (model_id, "a.fm", "fm", "x"),
+        ])
+        with pytest.raises(InputSyntaxError, match="line 3: model id .* is not a plain directory"):
+            load_manifest(manifest)
+
     def test_unknown_format_rejected(self, tmp_path):
         (tmp_path / "a.fm").write_text(SMALL_FM, "utf-8")
         manifest = write_corpus(tmp_path, [("a", "a.fm", "xml", "x")])

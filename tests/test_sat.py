@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -16,6 +17,30 @@ from fmnet.sat import SatEngine, SatOutcome, Status, enumerate_models
 
 def satisfies(model, formula):
     return all(any((model >> abs(l) & 1) == (l > 0) for l in c) for c in formula.clauses)
+
+
+def bits(*variables):
+    return sum(1 << v for v in variables)
+
+
+def conditioned(formula, assumptions):
+    """Truth-table rows of the formula's models that satisfy the assumptions."""
+    return truth_table_mask(CnfFormula(
+        num_vars=formula.num_vars,
+        clauses=formula.clauses + tuple((a,) for a in assumptions),
+    ))
+
+
+def implied_hold(rows, num_vars, implied):
+    """Whether every truth-table row in ``rows`` sets the masks' variables as they say."""
+    true_mask, false_mask = implied
+    full = (1 << (1 << num_vars)) - 1
+    return all(
+        rows & ~variable_column(num_vars, v) & full == 0 if true_mask >> v & 1
+        else rows & variable_column(num_vars, v) == 0
+        for v in range(1, num_vars + 1)
+        if (true_mask | false_mask) >> v & 1
+    )
 
 
 class TestSatOutcome:
@@ -126,11 +151,7 @@ class TestSolve:
             formula = random_cnf(rng, num_vars, rng.uniform(1.5, 4.0))
             picked = rng.sample(range(1, num_vars + 1), 2)
             assumptions = tuple(v if rng.random() < 0.5 else -v for v in picked)
-            conditioned = CnfFormula(
-                num_vars=num_vars,
-                clauses=formula.clauses + tuple((a,) for a in assumptions),
-            )
-            expected_sat = truth_table_mask(conditioned) != 0
+            expected_sat = conditioned(formula, assumptions) != 0
             outcome = SatEngine(formula).solve(assumptions)
             assert (outcome.status is Status.SAT) == expected_sat
             if expected_sat:
@@ -139,13 +160,13 @@ class TestSolve:
 
 class TestImpliedLiterals:
     def test_chain_above_the_root(self):
-        # 4 is fixed at the root, so it is not listed.
+        # 4 is fixed at the root, so it is left out.
         formula = CnfFormula(num_vars=4, clauses=((-1, 2), (-2, 3), (4,)))
         engine = SatEngine(formula)
-        assert engine.implied_literals((1,)) == [1, 2, 3]
-        assert engine.implied_literals((3,)) == [3]
-        assert engine.implied_literals((4,)) == []
-        assert engine.implied_literals((-3,)) == [-3, -2, -1]
+        assert engine.implied_literals((1,)) == (bits(1, 2, 3), 0)
+        assert engine.implied_literals((3,)) == (bits(3), 0)
+        assert engine.implied_literals((4,)) == (0, 0)
+        assert engine.implied_literals((-3,)) == (0, bits(1, 2, 3))
 
     def test_conflict_returns_none(self):
         formula = CnfFormula(num_vars=2, clauses=((-1, 2), (-1, -2)))
@@ -157,9 +178,9 @@ class TestImpliedLiterals:
         assert engine.num_solve_calls == 2
 
     def test_sound_against_truth_table(self):
-        # Every literal returned holds in every model of the formula under
-        # the assumptions; None comes back only when there is no such model.
-        # Afterwards the engine answers as a fresh one does.
+        # Every variable in the masks is set that way in every model of the
+        # formula under the assumptions; None comes back only when there is
+        # no such model. Afterwards the engine answers as a fresh one does.
         rng = random.Random(1313)
         implied_seen = none_seen = 0
         for _ in range(300):
@@ -169,23 +190,18 @@ class TestImpliedLiterals:
             for _ in range(3):
                 picked = rng.sample(range(1, num_vars + 1), rng.randint(1, min(3, num_vars)))
                 assumptions = tuple(v if rng.random() < 0.5 else -v for v in picked)
-                conditioned = CnfFormula(
-                    num_vars=num_vars,
-                    clauses=formula.clauses + tuple((a,) for a in assumptions),
-                )
-                mask = truth_table_mask(conditioned)
+                rows = conditioned(formula, assumptions)
                 implied = engine.implied_literals(assumptions)
                 if implied is None:
                     none_seen += 1
-                    assert mask == 0
+                    assert rows == 0
                     continue
                 implied_seen += 1
-                assert len(set(implied)) == len(implied)
-                full = (1 << (1 << num_vars)) - 1
-                for lit in implied:
-                    column = variable_column(num_vars, abs(lit))
-                    holds = column if lit > 0 else ~column & full
-                    assert mask & ~holds == 0
+                true_mask, false_mask = implied
+                assert true_mask & false_mask == 0
+                assert (true_mask | false_mask) >> (num_vars + 1) == 0
+                assert (true_mask | false_mask) & 1 == 0
+                assert implied_hold(rows, num_vars, implied)
             probe_vars = rng.sample(range(1, num_vars + 1), min(2, num_vars))
             probe = tuple(v if rng.random() < 0.5 else -v for v in probe_vars)
             for assumptions in ((), probe):
@@ -194,6 +210,61 @@ class TestImpliedLiterals:
                 if outcome.status is Status.SAT:
                     assert satisfies(outcome.model, formula)
         assert implied_seen > 100 and none_seen > 20
+
+    def test_models_agree_with_masks(self):
+        # Both calls share the assumption protocol, on one engine: every
+        # model solve(A) returns sets each variable as implied_literals(A)
+        # reports it, and None comes back only when solve(A) is UNSAT.
+        rng = random.Random(4242)
+        sat_seen = none_seen = 0
+        for _ in range(200):
+            num_vars = rng.randint(2, 14)
+            formula = random_cnf(rng, num_vars, rng.uniform(1.0, 4.5), width=rng.choice((2, 3)))
+            engine = SatEngine(formula)
+            for _ in range(4):
+                picked = rng.choices(range(1, num_vars + 1), k=rng.randint(1, 4))
+                assumptions = tuple(v if rng.random() < 0.5 else -v for v in picked)
+                implied = engine.implied_literals(assumptions)
+                outcome = engine.solve(assumptions)
+                if implied is None:
+                    none_seen += 1
+                    assert outcome.status is Status.UNSAT
+                elif outcome.status is Status.SAT:
+                    sat_seen += 1
+                    true_mask, false_mask = implied
+                    assert outcome.model & true_mask == true_mask
+                    assert outcome.model & false_mask == 0
+        assert sat_seen > 100 and none_seen > 50
+
+    def test_repeated_root_true_and_contradictory_assumptions(self):
+        # 3 is fixed true at the root, and 1 propagates 2 and 4, so several
+        # assumptions below meet a literal that is already true or false.
+        formula = CnfFormula(num_vars=4, clauses=((3,), (-1, 2), (-2, 4)))
+        engine = SatEngine(formula)
+        assert engine.implied_literals((1, 1)) == (bits(1, 2, 4), 0)
+        assert engine.implied_literals((3,)) == (0, 0)
+        assert engine.implied_literals((3, 1, 3)) == (bits(1, 2, 4), 0)
+        assert engine.implied_literals((1, 2)) == (bits(1, 2, 4), 0)
+        assert engine.implied_literals((2, -2)) is None
+        assert engine.implied_literals((-3,)) is None
+        literals = [lit for v in range(1, 5) for lit in (v, -v)]
+        for size in (1, 2, 3):
+            for assumptions in itertools.product(literals, repeat=size):
+                rows = conditioned(formula, assumptions)
+                outcome = engine.solve(assumptions)
+                assert (outcome.status is Status.SAT) == (rows != 0), assumptions
+                if rows:
+                    assert satisfies(outcome.model, formula)
+                    assert all((outcome.model >> abs(a) & 1) == (a > 0) for a in assumptions)
+                implied = engine.implied_literals(assumptions)
+                if implied is None:
+                    assert rows == 0, assumptions
+                else:
+                    assert implied_hold(rows, 4, implied), assumptions
+                    assert (implied[0] | implied[1]) & bits(3) == 0
+                    for a in assumptions:
+                        if abs(a) != 3:
+                            assert implied[a < 0] >> abs(a) & 1, assumptions
 
 
 class TestEnumerateModels:

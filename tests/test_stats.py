@@ -5,7 +5,6 @@ import pytest
 
 from conftest import average_ranks_reference, exact_wilcoxon_p
 from fmnet.stats import (
-    Alternative,
     StatsSummary,
     WilcoxonResult,
     average_ranks,
@@ -114,16 +113,9 @@ class TestEffectLabel:
 
 
 class TestWilcoxon:
-    def test_accepts_string_alternative(self):
-        a = [5, 6, 7, 8, 9, 10]
-        b = [1, 2, 3, 4, 5, 6]
-        by_enum = wilcoxon_signed_rank(a, b, Alternative.A_GREATER)
-        by_name = wilcoxon_signed_rank(a, b, "a_greater")
-        assert by_enum == by_name
-
     def test_all_positive_differences(self):
         a = [2, 3, 4, 5, 6, 7]
-        result = wilcoxon_signed_rank(a, [1, 2, 3, 4, 5, 6], Alternative.A_GREATER)
+        result = wilcoxon_signed_rank(a, [1, 2, 3, 4, 5, 6])
         assert result.w_statistic == 21.0  # every rank is positive
         assert result.n_effective == 6
         assert result.p_value < 0.05
@@ -132,12 +124,12 @@ class TestWilcoxon:
     def test_zero_differences_dropped(self):
         a = [1, 5, 3, 9]
         b = [1, 2, 3, 4]
-        result = wilcoxon_signed_rank(a, b, Alternative.A_GREATER)
+        result = wilcoxon_signed_rank(a, b)
         assert result.n_pairs == 4
         assert result.n_effective == 2
 
     def test_degenerate_all_ties(self):
-        result = wilcoxon_signed_rank([1, 2], [1, 2], Alternative.A_GREATER)
+        result = wilcoxon_signed_rank([1, 2], [1, 2])
         assert result.degenerate
         assert result.p_value == 0.5
         assert result.w_statistic == 0.0
@@ -147,9 +139,9 @@ class TestWilcoxon:
 
     def test_length_mismatch_and_empty(self):
         with pytest.raises(ValueError, match="length mismatch"):
-            wilcoxon_signed_rank([1], [1, 2], Alternative.A_GREATER)
+            wilcoxon_signed_rank([1], [1, 2])
         with pytest.raises(ValueError, match="empty"):
-            wilcoxon_signed_rank([], [], Alternative.A_GREATER)
+            wilcoxon_signed_rank([], [])
 
     def test_relabeling_symmetry(self):
         rng = random.Random(404)
@@ -159,12 +151,14 @@ class TestWilcoxon:
             b = [rng.randint(0, 9) for _ in range(n)]
             if all(x == y for x, y in zip(a, b)):
                 continue
-            forward = wilcoxon_signed_rank(a, b, Alternative.A_GREATER)
-            backward = wilcoxon_signed_rank(b, a, Alternative.B_GREATER)
-            assert forward.p_value == backward.p_value
+            forward = wilcoxon_signed_rank(a, b)
+            backward = wilcoxon_signed_rank(b, a)
             assert forward.w_statistic + backward.w_statistic == pytest.approx(
                 forward.n_effective * (forward.n_effective + 1) / 2
             )
+            # The two one-sided tails overlap at the observed W, as
+            # P(W >= w) + P(W <= w) >= 1 does for the exact null.
+            assert forward.p_value + backward.p_value > 1
 
     def test_tracks_exact_enumeration(self):
         # The exact null at n around 10 is a coarse step function, so the
@@ -179,9 +173,9 @@ class TestWilcoxon:
             a = [x + rng.randint(-4, 4) for x in b]
             if all(x == y for x, y in zip(a, b)):
                 continue
-            for alternative in ("a_greater", "b_greater"):
-                approx = wilcoxon_signed_rank(a, b, alternative).p_value
-                exact = exact_wilcoxon_p(a, b, alternative)
+            for x, y in ((a, b), (b, a)):
+                approx = wilcoxon_signed_rank(x, y).p_value
+                exact = exact_wilcoxon_p(x, y)
                 gaps.append(abs(approx - exact))
         gaps.sort()
         assert gaps[-1] <= 0.07
@@ -190,7 +184,7 @@ class TestWilcoxon:
     def test_effect_size_is_z_over_sqrt_n(self):
         a = [4, 6, 7, 9, 11, 2, 8, 5]
         b = [3, 4, 8, 6, 7, 1, 6, 5]
-        result = wilcoxon_signed_rank(a, b, Alternative.A_GREATER)
+        result = wilcoxon_signed_rank(a, b)
         assert result.effect_size_r == pytest.approx(
             result.z_value / math.sqrt(result.n_effective)
         )
@@ -198,10 +192,8 @@ class TestWilcoxon:
 
     def test_tie_corrected_variance_shrinks_sigma(self):
         # Same W, but heavy ties concentrate the null distribution.
-        tied = wilcoxon_signed_rank([2, 2, 2, 2, 2, 2], [1, 1, 1, 1, 1, 1],
-                                    Alternative.A_GREATER)
-        spread = wilcoxon_signed_rank([2, 3, 4, 5, 6, 7], [1, 1, 1, 1, 1, 1],
-                                      Alternative.A_GREATER)
+        tied = wilcoxon_signed_rank([2, 2, 2, 2, 2, 2], [1, 1, 1, 1, 1, 1])
+        spread = wilcoxon_signed_rank([2, 3, 4, 5, 6, 7], [1, 1, 1, 1, 1, 1])
         assert tied.w_statistic == spread.w_statistic == 21.0
         assert abs(tied.z_value) > abs(spread.z_value)
 
@@ -220,11 +212,10 @@ class TestAgainstScipy:
             a = [x + rng.randint(-3, 3) for x in b]
             if all(x == y for x, y in zip(a, b)):
                 continue
-            for alternative, scipy_side in (
-                (Alternative.A_GREATER, "greater"),
-                (Alternative.B_GREATER, "less"),
+            for mine, scipy_side in (
+                (wilcoxon_signed_rank(a, b), "greater"),
+                (wilcoxon_signed_rank(b, a), "less"),
             ):
-                mine = wilcoxon_signed_rank(a, b, alternative)
                 reference = scipy_stats.wilcoxon(
                     a, b, zero_method="wilcox", correction=True,
                     alternative=scipy_side, method="approx",
@@ -298,15 +289,15 @@ class TestPinnedBits:
 
     def test_wilcoxon_signed_rank(self, samples):
         a, b, _, _ = samples
-        assert wilcoxon_signed_rank(a, b, Alternative.A_GREATER) == WilcoxonResult(
+        assert wilcoxon_signed_rank(a, b) == WilcoxonResult(
             n_pairs=160, n_effective=149, w_statistic=5776.5,
             z_value=0.35740345487620945, p_value=0.3603948953569209,
             effect_size_r=0.029279631873837732, effect_label="negligible",
             degenerate=False,
         )
-        assert wilcoxon_signed_rank(a, b, Alternative.B_GREATER) == WilcoxonResult(
-            n_pairs=160, n_effective=149, w_statistic=5776.5,
-            z_value=0.3592994944246244, p_value=0.6403144737463138,
-            effect_size_r=0.029434961485900534, effect_label="negligible",
+        assert wilcoxon_signed_rank(b, a) == WilcoxonResult(
+            n_pairs=160, n_effective=149, w_statistic=5398.5,
+            z_value=-0.3592994944246244, p_value=0.6403144737463138,
+            effect_size_r=-0.029434961485900534, effect_label="negligible",
             degenerate=False,
         )
