@@ -1,0 +1,6 @@
+"""``python -m fmnet``: the command-line tool."""
+
+from .cli import run
+
+if __name__ == "__main__":
+    run()

@@ -76,7 +76,7 @@ class CnfFormula:
         return range(1, self.num_vars + 1)
 
 
-def parse_dimacs(text: str | bytes) -> CnfFormula:
+def parse_dimacs(text: str) -> CnfFormula:
     """Parse DIMACS CNF text into a CnfFormula.
 
     Enforced shape: exactly one ``p cnf <vars> <clauses>`` line before any
@@ -86,9 +86,6 @@ def parse_dimacs(text: str | bytes) -> CnfFormula:
     lines and comments are accepted anywhere; a comment of the exact shape
     ``c <index> <name>`` declares a variable name.
     """
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
-
     num_vars: int | None = None
     declared_clauses: int | None = None
     raw_clauses: list[tuple[Clause | None, bool]] = []  # (normalized, was_empty)

@@ -110,7 +110,7 @@ def load_manifest(path: str | Path) -> CorpusManifest:
     path = Path(path)
     entries = []
     seen = set()
-    with path.open(newline="", encoding="utf-8") as handle:
+    with path.open(newline="", encoding="utf-8-sig") as handle:
         reader = csv.DictReader(handle)
         required = {"id", "path", "format", "domain"}
         if reader.fieldnames is None or not required.issubset(reader.fieldnames):
@@ -148,7 +148,7 @@ def load_formula(path: str | Path, fmt: str | None = None) -> CnfFormula:
     """Parse a model file; without ``fmt`` the suffix picks the format."""
     if fmt is None:
         fmt = detect_format(path)
-    text = Path(path).read_text(encoding="utf-8")
+    text = Path(path).read_text(encoding="utf-8-sig")
     if fmt == "dimacs":
         return parse_dimacs(text)
     if fmt == "fm":
@@ -275,19 +275,19 @@ def _record_from(metrics: ModelMetrics, domain: str) -> CorpusRecord:
 
 
 def _analyze_entry(
-    entry: ManifestEntry, threshold_pct: float, out_dir: str | None
-) -> tuple[str, CorpusRecord | None, str | None]:
+    entry: ManifestEntry, threshold_pct: float, out_dir: str | Path | None
+) -> CorpusRecord | CorpusFailure:
     try:
         metrics, _ = analyze_model(
             entry.path, entry.fmt, threshold_pct, out_dir, entry.model_id
         )
     except (FmnetError, OSError, ValueError) as error:
-        return entry.model_id, None, str(error)
+        return CorpusFailure(entry.model_id, str(error))
     except Exception as error:  # a fault in one model must not sink the run
         frame = traceback.extract_tb(error.__traceback__)[-1]
         where = f"{Path(frame.filename).name}:{frame.lineno}"
-        return entry.model_id, None, f"{type(error).__name__} at {where}: {error}"
-    return entry.model_id, _record_from(metrics, entry.domain), None
+        return CorpusFailure(entry.model_id, f"{type(error).__name__} at {where}: {error}")
+    return _record_from(metrics, entry.domain)
 
 
 def analyze_corpus(
@@ -303,21 +303,17 @@ def analyze_corpus(
     validate_threshold(threshold_pct)
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-    out_str = str(out_dir) if out_dir is not None else None
     if jobs > 1 and len(manifest.entries) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             outcomes = list(pool.map(
                 _analyze_entry, manifest.entries,
-                repeat(threshold_pct), repeat(out_str),
+                repeat(threshold_pct), repeat(out_dir),
             ))
     else:
-        outcomes = [_analyze_entry(e, threshold_pct, out_str) for e in manifest.entries]
+        outcomes = [_analyze_entry(e, threshold_pct, out_dir) for e in manifest.entries]
 
-    records = tuple(rec for _, rec, _ in outcomes if rec is not None)
-    failures = tuple(
-        CorpusFailure(model_id, error)
-        for model_id, rec, error in outcomes if rec is None and error is not None
-    )
+    records = tuple(o for o in outcomes if isinstance(o, CorpusRecord))
+    failures = tuple(o for o in outcomes if isinstance(o, CorpusFailure))
 
     domains = sorted({record.domain for record in records})
     domain_stats: dict[str, dict[str, StatsSummary]] = {}

@@ -122,11 +122,14 @@ def graphs_from_json(text: str) -> StrongGraphs:
                 indices.add(index)
                 names[index] = name
             groups[key] = frozenset(indices)
+        if not sum(len(payload[key]) for key in groups) == len(names) == num_vars:
+            raise ValueError(f"nodes, core and dead do not partition 1..{num_vars}")
         arcs, edges = (
             frozenset((a, b) for a, b in payload[key]) for key in ("arcs", "conflict_edges")
         )
-        if any(type(end) is not int for pair in (*arcs, *edges) for end in pair):
-            raise ValueError("an arc or conflict edge has an endpoint that is not an int")
+        if any(type(end) is not int or not 1 <= end <= num_vars
+               for pair in (*arcs, *edges) for end in pair):
+            raise ValueError(f"an arc or conflict edge has an endpoint outside 1..{num_vars}")
         classification = FeatureClassification(
             num_vars=num_vars,
             core=groups["core"],

@@ -42,7 +42,7 @@ _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 _TOKEN_RE = re.compile(r"\s*(=>|[!&|()]|[A-Za-z_][A-Za-z0-9_]*)")
 
 # Bounds the parser's descent (parentheses, '!', '=>') and the height of the
-# parsed tree, which the recursive walkers below descend. Nested parentheses,
+# parsed tree, which _expr_clauses descends by recursion. Nested parentheses,
 # the costliest case at six frames a level, need ~620 of Python's 1000.
 MAX_CONSTRAINT_DEPTH = 100
 _TOO_DEEP = f"constraint nests deeper than {MAX_CONSTRAINT_DEPTH} levels"
@@ -90,12 +90,8 @@ class _ExprParser:
         pos = 0
         while pos < len(text):
             match = _TOKEN_RE.match(text, pos)
-            if not match:
-                if text[pos:].strip():
-                    raise DialectError(
-                        f"bad character {text[pos:].strip()[0]!r} in constraint", line
-                    )
-                break
+            if not match:  # the text is stripped, so a non-blank character is left
+                raise DialectError(f"bad character {text[pos:].strip()[0]!r} in constraint", line)
             self._tokens.append(match.group(1))
             pos = match.end()
         self._index = 0
@@ -168,17 +164,21 @@ class _ExprParser:
         raise DialectError(f"unexpected token {token!r} in constraint", self._line)
 
 
-def _height(expr: Expr) -> int:
-    """Operators on the longest root-to-leaf path, found without recursion."""
-    height, stack = 0, [(expr, 0)]
+def _walk(expr: Expr) -> Iterator[tuple[Expr, int]]:
+    """Every node, left to right, with the operators above it; no recursion."""
+    stack = [(expr, 0)]
     while stack:
         node, depth = stack.pop()
-        height = max(height, depth)
+        yield node, depth
         if isinstance(node, Not):
             stack.append((node.operand, depth + 1))
         elif not isinstance(node, Var):
-            stack += [(node.left, depth + 1), (node.right, depth + 1)]
-    return height
+            stack += [(node.right, depth + 1), (node.left, depth + 1)]
+
+
+def _height(expr: Expr) -> int:
+    """Operators on the longest root-to-leaf path."""
+    return max(depth for _, depth in _walk(expr))
 
 
 # ---- the model ----
@@ -221,20 +221,14 @@ class FeatureModel:
                 rear.extend(group.members)
             stack.extend(reversed(feature.children + rear))
 
-    def feature_names(self) -> list[str]:
-        return [f.name for f in self.preorder()]
 
-
-def parse_fm(text: str | bytes) -> FeatureModel:
+def parse_fm(text: str) -> FeatureModel:
     """Parse dialect text into a FeatureModel.
 
     Errors carry the line number: unknown keyword, bad indentation, duplicate
     feature name, group with fewer than two members, constraint referencing
     an undeclared feature.
     """
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
-
     root: Feature | None = None
     # Stack of (indent, feature) from root to the innermost open feature.
     stack: list[tuple[int, Feature]] = []
@@ -312,25 +306,13 @@ def parse_fm(text: str | bytes) -> FeatureModel:
     if root is None:
         raise DialectError("input declares no features")
 
-    model = FeatureModel(root, raw_constraints)
-    declared = set(model.feature_names())
     for constraint in raw_constraints:
-        for name in _names_in(constraint.expression):
-            if name not in declared:
+        for node, _ in _walk(constraint.expression):
+            if isinstance(node, Var) and node.name not in seen:
                 raise DialectError(
-                    f"constraint references undeclared feature {name!r}", constraint.line
+                    f"constraint references undeclared feature {node.name!r}", constraint.line
                 )
-    return model
-
-
-def _names_in(expr: Expr) -> Iterator[str]:
-    if isinstance(expr, Var):
-        yield expr.name
-    elif isinstance(expr, Not):
-        yield from _names_in(expr.operand)
-    else:
-        yield from _names_in(expr.left)
-        yield from _names_in(expr.right)
+    return FeatureModel(root, raw_constraints)
 
 
 # ---- CNF encoding ----
@@ -410,6 +392,6 @@ def fm_to_cnf(model: FeatureModel) -> CnfFormula:
     )
 
 
-def parse_fm_to_cnf(text: str | bytes) -> CnfFormula:
+def parse_fm_to_cnf(text: str) -> CnfFormula:
     """Convenience: dialect text straight to its CNF encoding."""
     return fm_to_cnf(parse_fm(text))

@@ -175,7 +175,7 @@ class SatEngine:
                 learnt, backjump = self._analyze(conflict)
                 self._cancel_until(backjump)
                 self._record_learnt(learnt)
-                self._decay_activity()
+                self._activity_inc *= _ACTIVITY_DECAY
                 continue
             if conflicts >= restart_limit:
                 restarts += 1
@@ -253,13 +253,13 @@ class SatEngine:
         self._qhead = min(self._qhead, len(self._trail))
 
     def _pick_var(self) -> int | None:
-        values, heap = self._values, self._heap
+        """Highest-activity unassigned variable; None once all are set. Stale
+        entries are skipped: every unassigned variable has a live one, since
+        only assigned ones are bumped and ``_cancel_until`` pushes each it frees."""
+        values, activity, heap = self._values, self._activity, self._heap
         while heap:
             act, var = heappop(heap)
-            if values[var] == _UNASSIGNED and act == -self._activity[var]:
-                return var
-        for var in range(1, self.num_vars + 1):  # stale-heap fallback
-            if values[var] == _UNASSIGNED:
+            if values[var] == _UNASSIGNED and act == -activity[var]:
                 return var
         return None
 
@@ -367,12 +367,6 @@ class SatEngine:
                           for v in range(1, self.num_vars + 1)
                           if self._values[v] == _UNASSIGNED]
             self._heap.sort()
-            return
-        if self._values[var] == _UNASSIGNED:
-            heappush(self._heap, (-self._activity[var], var))
-
-    def _decay_activity(self) -> None:
-        self._activity_inc *= _ACTIVITY_DECAY
 
 
 def enumerate_models(formula: CnfFormula, var_limit: int = 25) -> Iterator[int]:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 
@@ -170,16 +170,6 @@ def wilcoxon_signed_rank(a: Sequence[float], b: Sequence[float]) -> WilcoxonResu
     )
 
 
-def summarize_metric(
-    values: Sequence[float], sizes: Sequence[float] | None = None
-) -> StatsSummary:
-    """median_and_coverage plus, when sizes are given, rank correlation of
-    the metric against model size."""
-    summary = median_and_coverage(values)
-    if sizes is None:
-        return summary
-    return StatsSummary(
-        n=summary.n, median=summary.median,
-        ci_low=summary.ci_low, ci_high=summary.ci_high,
-        rho=spearman_rho(values, sizes),
-    )
+def summarize_metric(values: Sequence[float], sizes: Sequence[float]) -> StatsSummary:
+    """median_and_coverage plus the metric's rank correlation with model size."""
+    return replace(median_and_coverage(values), rho=spearman_rho(values, sizes))

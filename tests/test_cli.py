@@ -156,6 +156,12 @@ class TestExport:
         _graphs_text(arcs=[[1, 2, 3]]),
         _graphs_text(conflict_edges=[[1.0, 2]]),
         _graphs_text(conflict_edges=[[True, 2]]),
+        _graphs_text(core=[{"index": 1, "name": "Z"}]),
+        _graphs_text(nodes=[{"index": 1, "name": "A"}, {"index": 1, "name": "B"}]),
+        _graphs_text(nodes=[{"index": 1, "name": "A"}]),
+        _graphs_text(arcs=[[1, 9]]),
+        _graphs_text(arcs=[[0, 2]]),
+        _graphs_text(conflict_edges=[[1, 3]]),
     ])
     def test_not_a_graphs_artifact(self, tmp_path, capsys, text):
         fmnet.graphs_from_json(_graphs_text())  # the sound base payload parses
@@ -271,14 +277,15 @@ class TestEntryPoint:
         missing = run_script("analyze", str(tmp_path / "missing.fm"))
         assert missing.returncode == cli.EXIT_INPUT_ERROR, missing.stderr
 
-    def test_module_run(self, fixture_file, tmp_path):
-        # ``python -m fmnet.cli`` from a checkout runs the tool like the script.
+    @pytest.mark.parametrize("module", ["fmnet", "fmnet.cli"])
+    def test_module_run(self, fixture_file, tmp_path, module):
+        # ``python -m`` from a checkout runs the tool like the script.
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [
             str(pathlib.Path(fmnet.__file__).resolve().parents[1]), env.get("PYTHONPATH")
         ]))
         completed = subprocess.run(
-            [sys.executable, "-m", "fmnet.cli", "analyze", str(fixture_file)],
+            [sys.executable, "-m", module, "analyze", str(fixture_file)],
             cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
         )
         assert completed.returncode == cli.EXIT_OK, completed.stderr

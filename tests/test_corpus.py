@@ -68,6 +68,20 @@ class TestLoadFormula:
         with pytest.raises(ValueError, match="unknown input format"):
             load_formula(path, "xml")
 
+    def test_fm_with_byte_order_mark(self, tmp_path):
+        plain, marked = tmp_path / "plain.fm", tmp_path / "marked.fm"
+        plain.write_text(SMALL_FM, "utf-8")
+        marked.write_text(SMALL_FM, "utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert load_formula(marked) == load_formula(plain)
+
+    def test_dimacs_with_byte_order_mark(self, tmp_path):
+        plain, marked = tmp_path / "plain.cnf", tmp_path / "marked.cnf"
+        plain.write_text(SMALL_DIMACS, "utf-8")
+        marked.write_text(SMALL_DIMACS, "utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert load_formula(marked) == load_formula(plain)
+
 
 class TestLoadManifest:
     def test_good_manifest(self, tmp_path):
@@ -80,6 +94,13 @@ class TestLoadManifest:
         assert [e.model_id for e in manifest.entries] == ["a", "b"]
         assert manifest.entries[0].path == (tmp_path / "a.fm").resolve()
         assert manifest.entries[1].domain == "automotive"
+
+    def test_byte_order_mark(self, tmp_path):
+        (tmp_path / "a.fm").write_text(SMALL_FM, "utf-8")
+        path = tmp_path / "manifest.csv"
+        path.write_text("id,path,format,domain\na,a.fm,fm,systems\n", "utf-8-sig")
+        (entry,) = load_manifest(path).entries
+        assert (entry.model_id, entry.fmt, entry.domain) == ("a", "fm", "systems")
 
     def test_missing_columns(self, tmp_path):
         path = tmp_path / "manifest.csv"

@@ -142,7 +142,7 @@ class TestParseFm:
 
     def test_comments_and_blank_lines_ignored(self):
         model = parse_fm("# header\nfeature R\n\n    # note\n    optional A\n")
-        assert model.feature_names() == ["R", "A"]
+        assert [f.name for f in model.preorder()] == ["R", "A"]
 
     def test_duplicate_feature_name(self):
         with pytest.raises(DialectError, match="line 3: .*already declared"):

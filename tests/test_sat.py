@@ -10,6 +10,7 @@ from conftest import (
     tt_model_masks,
     variable_column,
 )
+import fmnet.sat as sat
 from fmnet.cnf import CnfFormula
 from fmnet.errors import EnumerationLimitError
 from fmnet.sat import SatEngine, SatOutcome, Status, enumerate_models
@@ -265,6 +266,53 @@ class TestImpliedLiterals:
                     for a in assumptions:
                         if abs(a) != 3:
                             assert implied[a < 0] >> abs(a) & 1, assumptions
+
+
+class TestRarelyReachedPaths:
+    """Luby restarts and the activity rescale, which the other tests and
+    the benchmark workloads never reach, forced by lowering their thresholds."""
+
+    @staticmethod
+    def solve_random(seed):
+        # Near the 3-SAT threshold, with assumptions, against the truth table.
+        rng = random.Random(seed)
+        engines = []
+        for _ in range(240):
+            num_vars = rng.randint(8, 14)
+            formula = random_cnf(rng, num_vars, rng.uniform(3.5, 5.0))
+            engine = SatEngine(formula)
+            engines.append(engine)
+            for _ in range(5):
+                picked = rng.sample(range(1, num_vars + 1), rng.randint(0, 3))
+                assumptions = tuple(v if rng.random() < 0.5 else -v for v in picked)
+                rows = conditioned(formula, assumptions)
+                outcome = engine.solve(assumptions)
+                assert (outcome.status is Status.SAT) == (rows != 0), assumptions
+                if rows:
+                    assert satisfies(outcome.model, formula)
+                    assert all((outcome.model >> abs(a) & 1) == (a > 0) for a in assumptions)
+                    # The decision heap ran empty only once every variable was set.
+                    assert sat._UNASSIGNED not in engine._values[1:]
+        return engines
+
+    def test_restarts(self, monkeypatch):
+        luby_terms, real_luby = [], sat._luby
+
+        def luby(i):
+            luby_terms.append(i)
+            return real_luby(i)
+
+        monkeypatch.setattr(sat, "_RESTART_BASE", 1)
+        monkeypatch.setattr(sat, "_luby", luby)
+        self.solve_random(606)
+        # Each solve asks for term 1 once; every later term is one restart.
+        assert sum(i > 1 for i in luby_terms) > 400
+
+    def test_activity_rescale(self, monkeypatch):
+        monkeypatch.setattr(sat, "_ACTIVITY_LIMIT", 4.0)
+        engines = self.solve_random(707)
+        # The increment only grows, except when a rescale shrinks it.
+        assert sum(engine._activity_inc < 1.0 for engine in engines) > 80
 
 
 class TestEnumerateModels:

@@ -243,11 +243,6 @@ class TestAgainstScipy:
 
 
 class TestSummarizeMetric:
-    def test_without_sizes(self):
-        summary = summarize_metric([3.0, 1.0, 2.0])
-        assert summary.median == 2.0
-        assert summary.rho is None
-
     def test_with_sizes(self):
         values = [1.0, 2.0, 3.0, 4.0, 5.0]
         sizes = [10.0, 20.0, 30.0, 40.0, 50.0]
