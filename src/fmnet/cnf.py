@@ -88,7 +88,8 @@ def parse_dimacs(text: str) -> CnfFormula:
     """
     num_vars: int | None = None
     declared_clauses: int | None = None
-    raw_clauses: list[tuple[Clause | None, bool]] = []  # (normalized, was_empty)
+    clauses: list[Clause] = []
+    trivially_unsat = False
     pending: list[int] = []
     name_comments: list[tuple[int, int, str]] = []  # (line_no, index, name)
     clause_count = 0
@@ -125,8 +126,12 @@ def parse_dimacs(text: str) -> CnfFormula:
                 raise DimacsError(f"invalid literal token {token!r}", line_no) from None
             if lit == 0:
                 clause_count += 1
-                normalized = normalize_clause(pending) if pending else None
-                raw_clauses.append((normalized, not pending))
+                if not pending:
+                    trivially_unsat = True
+                else:
+                    clause = normalize_clause(pending)
+                    if clause is not None:
+                        clauses.append(clause)
                 pending = []
             else:
                 if abs(lit) > num_vars:
@@ -152,10 +157,8 @@ def parse_dimacs(text: str) -> CnfFormula:
             raise DimacsError(f"duplicate name comment for variable {index}", line_no)
         names[index] = name
 
-    trivially_unsat = any(was_empty for _, was_empty in raw_clauses)
-    clauses = tuple(c for c, was_empty in raw_clauses if not was_empty and c is not None)
     return CnfFormula(
-        num_vars=num_vars, clauses=clauses, names=names, trivially_unsat=trivially_unsat
+        num_vars=num_vars, clauses=tuple(clauses), names=names, trivially_unsat=trivially_unsat
     )
 
 

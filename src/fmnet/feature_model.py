@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Union
+from typing import Container, Iterator, Union
 
 from .cnf import Clause, CnfFormula, normalize_clause
 from .errors import ConstraintError, DialectError
@@ -41,9 +41,8 @@ from .errors import ConstraintError, DialectError
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 _TOKEN_RE = re.compile(r"\s*(=>|[!&|()]|[A-Za-z_][A-Za-z0-9_]*)")
 
-# Bounds the parser's descent (parentheses, '!', '=>') and the height of the
-# parsed tree, which _expr_clauses descends by recursion. Nested parentheses,
-# the costliest case at six frames a level, need ~620 of Python's 1000.
+# Bounds the open parentheses, '!' and '=>' while a constraint is parsed, and
+# the height of every constraint tree, which _expr_clauses descends by recursion.
 MAX_CONSTRAINT_DEPTH = 100
 _TOO_DEEP = f"constraint nests deeper than {MAX_CONSTRAINT_DEPTH} levels"
 
@@ -81,87 +80,72 @@ class Implies:
 Expr = Union[Var, Not, And, Or, Implies]
 
 
-class _ExprParser:
-    """Recursive descent with precedence ! > & > | > => (=> right-associative)."""
+_OPERATORS = {"&": (And, 3), "|": (Or, 2), "=>": (Implies, 1)}  # class, precedence
 
-    def __init__(self, text: str, line: int):
-        self._line = line
-        self._tokens: list[str] = []
-        pos = 0
-        while pos < len(text):
-            match = _TOKEN_RE.match(text, pos)
-            if not match:  # the text is stripped, so a non-blank character is left
-                raise DialectError(f"bad character {text[pos:].strip()[0]!r} in constraint", line)
-            self._tokens.append(match.group(1))
-            pos = match.end()
-        self._index = 0
-        self._depth = 0
 
-    def parse(self) -> Expr:
-        expr = self._implication()
-        if self._index < len(self._tokens):
-            raise DialectError(
-                f"unexpected token {self._tokens[self._index]!r} in constraint", self._line
-            )
-        if _height(expr) > MAX_CONSTRAINT_DEPTH:
-            raise DialectError(_TOO_DEEP, self._line)
-        return expr
+def _parse_expr(text: str, line: int) -> Expr:
+    """Operator precedence ! > & > | > => (=> right-associative), in one loop.
 
-    def _nested(self, parse: Callable[[], Expr]) -> Expr:
-        self._depth += 1
-        if self._depth > MAX_CONSTRAINT_DEPTH:
-            raise DialectError(_TOO_DEEP, self._line)
-        expr = parse()
-        self._depth -= 1
-        return expr
+    The whole text is tokenized first, so a bad character outranks any
+    syntax error. ``pending`` holds the operators not yet applied and the
+    open parentheses; its '(', '!' and '=>' entries are the nesting depth.
+    """
+    tokens: list[str | None] = []
+    pos = 0
+    while pos < len(text):
+        match = _TOKEN_RE.match(text, pos)
+        if not match:  # the text is stripped, so a non-blank character is left
+            raise DialectError(f"bad character {text[pos:].strip()[0]!r} in constraint", line)
+        tokens.append(match.group(1))
+        pos = match.end()
+    operands: list[Expr] = []
+    pending: list[str] = []
 
-    def _peek(self) -> str | None:
-        return self._tokens[self._index] if self._index < len(self._tokens) else None
+    def apply() -> None:
+        op = pending.pop()
+        right = operands.pop()
+        operands.append(Not(right) if op == "!" else _OPERATORS[op][0](operands.pop(), right))
 
-    def _take(self) -> str:
-        token = self._peek()
-        if token is None:
-            raise DialectError("constraint ends unexpectedly", self._line)
-        self._index += 1
-        return token
-
-    def _implication(self) -> Expr:
-        left = self._disjunction()
-        if self._peek() == "=>":
-            self._take()
-            return Implies(left, self._nested(self._implication))
-        return left
-
-    def _disjunction(self) -> Expr:
-        expr = self._conjunction()
-        while self._peek() == "|":
-            self._take()
-            expr = Or(expr, self._conjunction())
-        return expr
-
-    def _conjunction(self) -> Expr:
-        expr = self._negation()
-        while self._peek() == "&":
-            self._take()
-            expr = And(expr, self._negation())
-        return expr
-
-    def _negation(self) -> Expr:
-        if self._peek() == "!":
-            self._take()
-            return Not(self._nested(self._negation))
-        return self._atom()
-
-    def _atom(self) -> Expr:
-        token = self._take()
-        if token == "(":
-            expr = self._nested(self._implication)
-            if self._take() != ")":
-                raise DialectError("missing closing parenthesis in constraint", self._line)
-            return expr
-        if _NAME_RE.match(token):
-            return Var(token)
-        raise DialectError(f"unexpected token {token!r} in constraint", self._line)
+    want_operand = True
+    for token in tokens + [None]:  # None ends the constraint
+        if want_operand and token in ("!", "("):
+            pending.append(token)
+        elif not want_operand and token in _OPERATORS:
+            rank = _OPERATORS[token][1]
+            # '&' and '|' associate left; a pending '=>' waits for its right side
+            while pending and pending[-1] in ("&", "|") and _OPERATORS[pending[-1]][1] >= rank:
+                apply()
+            pending.append(token)
+            want_operand = True
+        else:
+            if want_operand:  # an operand is due
+                if token is None:
+                    raise DialectError("constraint ends unexpectedly", line)
+                if not _NAME_RE.match(token):
+                    raise DialectError(f"unexpected token {token!r} in constraint", line)
+                operands.append(Var(token))
+            elif "(" not in pending:
+                if token is not None:
+                    raise DialectError(f"unexpected token {token!r} in constraint", line)
+            elif token is None:
+                raise DialectError("constraint ends unexpectedly", line)
+            elif token != ")":
+                raise DialectError("missing closing parenthesis in constraint", line)
+            else:
+                while pending[-1] != "(":
+                    apply()
+                pending.pop()
+            want_operand = False
+            while pending and pending[-1] == "!":  # the operand just completed is theirs
+                apply()
+            continue
+        if len(pending) - pending.count("&") - pending.count("|") > MAX_CONSTRAINT_DEPTH:
+            raise DialectError(_TOO_DEEP, line)
+    while pending:
+        apply()
+    if max(depth for _, depth in _walk(operands[0])) > MAX_CONSTRAINT_DEPTH:
+        raise DialectError(_TOO_DEEP, line)
+    return operands[0]
 
 
 def _walk(expr: Expr) -> Iterator[tuple[Expr, int]]:
@@ -174,11 +158,6 @@ def _walk(expr: Expr) -> Iterator[tuple[Expr, int]]:
             stack.append((node.operand, depth + 1))
         elif not isinstance(node, Var):
             stack += [(node.right, depth + 1), (node.left, depth + 1)]
-
-
-def _height(expr: Expr) -> int:
-    """Operators on the longest root-to-leaf path."""
-    return max(depth for _, depth in _walk(expr))
 
 
 # ---- the model ----
@@ -220,6 +199,19 @@ class FeatureModel:
             for group in feature.groups:
                 rear.extend(group.members)
             stack.extend(reversed(feature.children + rear))
+
+
+def _check_constraint(constraint: Constraint, declared: Container[str]) -> None:
+    """The rules every constraint obeys, parsed or built in code: its tree
+    nests at most MAX_CONSTRAINT_DEPTH operators deep and it names only
+    declared features."""
+    for node, depth in _walk(constraint.expression):
+        if depth > MAX_CONSTRAINT_DEPTH:
+            raise DialectError(_TOO_DEEP, constraint.line)
+        if isinstance(node, Var) and node.name not in declared:
+            raise DialectError(
+                f"constraint references undeclared feature {node.name!r}", constraint.line
+            )
 
 
 def parse_fm(text: str) -> FeatureModel:
@@ -270,7 +262,7 @@ def parse_fm(text: str) -> FeatureModel:
         if keyword == "constraint":
             if not rest:
                 raise DialectError("constraint line has no expression", line_no)
-            expression = _ExprParser(rest, line_no).parse()
+            expression = _parse_expr(rest, line_no)
             raw_constraints.append(Constraint(expression, rest, line_no))
             continue
 
@@ -307,11 +299,7 @@ def parse_fm(text: str) -> FeatureModel:
         raise DialectError("input declares no features")
 
     for constraint in raw_constraints:
-        for node, _ in _walk(constraint.expression):
-            if isinstance(node, Var) and node.name not in seen:
-                raise DialectError(
-                    f"constraint references undeclared feature {node.name!r}", constraint.line
-                )
+        _check_constraint(constraint, seen)
     return FeatureModel(root, raw_constraints)
 
 
@@ -351,10 +339,14 @@ def fm_to_cnf(model: FeatureModel) -> CnfFormula:
 
     Variables are numbered by preorder traversal; the names map records each
     feature's name. Clause order is deterministic: root unit, per-feature
-    tree clauses in preorder, then constraints in declaration order.
+    tree clauses in preorder, then constraints in declaration order. A repeated
+    feature name, or a constraint _check_constraint rejects, is a DialectError.
     """
     features = list(model.preorder())
-    index = {f.name: i for i, f in enumerate(features, start=1)}
+    index: dict[str, int] = {}
+    for number, feature in enumerate(features, start=1):
+        if index.setdefault(feature.name, number) != number:
+            raise DialectError(f"feature {feature.name!r} declared twice")
     clauses: list[Clause] = []
 
     def push(raw: list[int]) -> None:
@@ -379,9 +371,7 @@ def fm_to_cnf(model: FeatureModel) -> CnfFormula:
                     for b in members[i + 1:]:
                         push([-a, -b])
     for constraint in model.constraints:
-        # A model built in code skips the parser's bound; _expr_clauses recurses.
-        if _height(constraint.expression) > MAX_CONSTRAINT_DEPTH:
-            raise DialectError(_TOO_DEEP, constraint.line)
+        _check_constraint(constraint, index)
         for raw in _expr_clauses(constraint.expression, index, False, constraint):
             push(raw)
 

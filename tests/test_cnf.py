@@ -67,6 +67,10 @@ class TestParseDimacs:
         formula = parse_dimacs("p cnf 3 1\n1\n-2\n3 0\n")
         assert formula.clauses == ((1, -2, 3),)
 
+    def test_blank_line_between_clauses(self):
+        formula = parse_dimacs("p cnf 2 2\n1 0\n\n-2 0\n")
+        assert formula.clauses == ((1,), (-2,))
+
     def test_name_comments(self):
         formula = parse_dimacs("c 2 BETA\np cnf 2 1\nc 1 ALPHA\n1 2 0\n")
         assert formula.names == {1: "ALPHA", 2: "BETA"}
@@ -104,6 +108,10 @@ class TestParseDimacs:
     def test_malformed_problem_line(self):
         with pytest.raises(DimacsError, match="malformed problem line"):
             parse_dimacs("p cnf one 1\n")
+
+    def test_negative_counts_in_problem_line(self):
+        with pytest.raises(DimacsError, match="line 1: negative counts"):
+            parse_dimacs("p cnf -1 0\n")
 
     def test_literal_out_of_range(self):
         with pytest.raises(DimacsError, match="line 2: literal 4 exceeds"):

@@ -47,6 +47,11 @@ class TestExpressionParsing:
         expr = self.constraint_of("A => B => C")
         assert expr == Implies(Var("A"), Implies(Var("B"), Var("C")))
 
+    def test_conjunction_and_disjunction_left_associative(self):
+        a, b, c = Var("A"), Var("B"), Var("C")
+        assert self.constraint_of("A & B & C") == And(And(a, b), c)
+        assert self.constraint_of("A | B | C") == Or(Or(a, b), c)
+
     def test_parentheses_override(self):
         expr = self.constraint_of("A & (B | C)")
         assert expr == And(Var("A"), Or(Var("B"), Var("C")))
@@ -65,6 +70,11 @@ class TestExpressionParsing:
     def test_missing_close_paren(self):
         with pytest.raises(DialectError, match="closing parenthesis"):
             self.constraint_of("(A B)")
+
+    @pytest.mark.parametrize("text", ["A & )", "A | (=> B)", ") A"])
+    def test_operator_where_an_operand_is_due(self, text):
+        with pytest.raises(DialectError, match="unexpected token '(\\)|=>)' in constraint"):
+            self.constraint_of(text)
 
     def test_trailing_token(self):
         with pytest.raises(DialectError, match="unexpected token"):
@@ -101,6 +111,16 @@ class TestNestingLimit:
         text = nested_constraint(shape, depth)
         with pytest.raises(DialectError, match="line 3: constraint nests deeper than"):
             parse_fm(f"feature R\n    optional A\n    constraint {text}\n")
+
+    @pytest.mark.parametrize("text", [
+        "!" * (MAX_CONSTRAINT_DEPTH + 1) + "A &",
+        "A => " * (MAX_CONSTRAINT_DEPTH + 1) + "A A",
+        "(" * (MAX_CONSTRAINT_DEPTH + 1) + "A",
+    ])
+    def test_depth_error_comes_before_a_later_syntax_error(self, text):
+        model = f"feature R\n    optional A\n    constraint {text}\n    constraint A &\n"
+        with pytest.raises(DialectError, match="line 3: constraint nests deeper than"):
+            parse_fm(model)
 
     @staticmethod
     def built_model(depth):
@@ -176,6 +196,14 @@ class TestParseFm:
         with pytest.raises(DialectError, match="unknown keyword 'needs'"):
             parse_fm("feature R\n    needs A\n")
 
+    def test_tree_line_at_column_zero_rejected(self):
+        with pytest.raises(DialectError, match="line 2: line is not indented under any feature"):
+            parse_fm("feature R\noptional A\n")
+
+    def test_bare_constraint_line_rejected(self):
+        with pytest.raises(DialectError, match="line 2: constraint line has no expression"):
+            parse_fm("feature R\n    constraint\n")
+
     def test_undeclared_constraint_name(self):
         with pytest.raises(DialectError, match="undeclared feature 'GHOST'"):
             parse_fm("feature R\n    optional A\n    constraint A => GHOST\n")
@@ -238,6 +266,19 @@ class TestEncoding:
         constrained = parse_fm_to_cnf(base + "    constraint A => B\n")
         assert tt_model_count(unconstrained) == 4
         assert tt_model_count(constrained) == 3
+
+    def test_built_model_with_undeclared_name(self):
+        model = FeatureModel(Feature("R", mandatory=True), [Constraint(Var("X"), "X", 1)])
+        with pytest.raises(DialectError) as raised:
+            fm_to_cnf(model)
+        assert str(raised.value) == "line 1: constraint references undeclared feature 'X'"
+
+    def test_built_model_with_repeated_name(self):
+        # Unchecked, the second A took variable 3 and left variable 2 unnamed.
+        root = Feature("R", mandatory=True,
+                       children=[Feature("A", mandatory=True), Feature("A")])
+        with pytest.raises(DialectError, match="feature 'A' declared twice"):
+            fm_to_cnf(FeatureModel(root, []))
 
     def test_unsupported_constraint_shape(self):
         text = (

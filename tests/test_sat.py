@@ -110,6 +110,14 @@ class TestSolve:
         engine.add_clause([-2])
         assert engine.solve().status is Status.UNSAT
 
+    def test_add_clause_skips_tautology_and_rejects_unknown_variable(self):
+        engine = SatEngine(CnfFormula(num_vars=2, clauses=()))
+        engine.add_clause([1, 2, -1])
+        assert engine._clauses == []
+        assert engine.solve((-1, -2)).status is Status.SAT
+        with pytest.raises(ValueError, match="literal -3 out of range"):
+            engine.add_clause([1, -3])
+
     def test_unsat_is_sticky(self):
         engine = SatEngine(CnfFormula(num_vars=1, clauses=((1,), (-1,))))
         assert engine.solve().status is Status.UNSAT
