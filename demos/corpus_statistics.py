@@ -61,11 +61,12 @@ def main() -> None:
                   f"n={summary.n}{rho}")
 
     print("\npaired one-sided tests per domain:")
-    for test in result.tests:
-        verdict = "significant" if test.result.significant() else "not significant"
-        print(f"  {test.domain:10s} {test.hypothesis:22s} "
-              f"p={test.result.p_value:.4f} effect={test.result.effect_size_r:.2f} "
-              f"({test.result.effect_label}): {verdict}")
+    for domain, tests in result.tests.items():
+        for hypothesis, test in tests.items():
+            verdict = "significant" if test.significant() else "not significant"
+            print(f"  {domain:10s} {hypothesis:22s} "
+                  f"p={test.p_value:.4f} effect={test.effect_size_r:.2f} "
+                  f"({test.effect_label}): {verdict}")
 
 
 if __name__ == "__main__":

@@ -54,6 +54,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     analyze = sub.add_parser("analyze", help="analyze a single model file")
+    analyze.set_defaults(run=_cmd_analyze)
     analyze.add_argument("file", type=Path)
     analyze.add_argument("--format", choices=FORMATS, default=None,
                          help="input format (default: by file suffix)")
@@ -63,6 +64,7 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="directory to write the artifact files into")
 
     corpus = sub.add_parser("corpus", help="analyze every model in a manifest")
+    corpus.set_defaults(run=_cmd_corpus)
     corpus.add_argument("manifest", type=Path)
     corpus.add_argument("--jobs", type=int, default=1,
                         help="worker processes (default 1)")
@@ -71,11 +73,13 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="output directory (default ./corpus-out)")
 
     export = sub.add_parser("export", help="re-render an analyzed model's graphs")
+    export.set_defaults(run=_cmd_export)
     export.add_argument("model_dir", type=Path,
                         help="artifact directory written by analyze/corpus")
     export.add_argument("--format", choices=EXPORT_FORMATS, required=True)
 
     validate = sub.add_parser("validate", help="check rebuilt graphs against the formula")
+    validate.set_defaults(run=_cmd_validate)
     validate.add_argument("file", type=Path)
     validate.add_argument("--format", choices=FORMATS, default=None)
     validate.add_argument("--sample", type=int, default=1000,
@@ -83,6 +87,7 @@ def _build_parser() -> argparse.ArgumentParser:
     validate.add_argument("--seed", type=int, default=0)
 
     oracle = sub.add_parser("oracle", help="enumerate all models and cross-check")
+    oracle.set_defaults(run=_cmd_oracle)
     oracle.add_argument("file", type=Path)
     oracle.add_argument("--format", choices=FORMATS, default=None)
     oracle.add_argument("--var-limit", type=int, default=25,
@@ -162,17 +167,9 @@ def _cmd_oracle(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    handlers = {
-        "analyze": _cmd_analyze,
-        "corpus": _cmd_corpus,
-        "export": _cmd_export,
-        "validate": _cmd_validate,
-        "oracle": _cmd_oracle,
-    }
+    args = _build_parser().parse_args(argv)
     try:
-        return handlers[args.command](args)
+        return args.run(args)
     except VoidModelError as error:
         print(f"error: {error}", file=sys.stderr)
         return EXIT_VOID_MODEL

@@ -6,7 +6,8 @@ understood as a disjunction; a formula is a conjunction of clauses.
 
 Variable names ride along in an optional map from index to name. The DIMACS
 form carries them as ``c <index> <name>`` comment lines, which may appear
-before or after the problem line. Unnamed variables fall back to ``v<index>``.
+before or after the problem line, so a name is one token without whitespace.
+Unnamed variables fall back to ``v<index>``.
 """
 
 from __future__ import annotations
@@ -65,6 +66,8 @@ class CnfFormula:
         for index, name in self.names.items():
             if not 1 <= index <= self.num_vars:
                 raise ValueError(f"name index {index} out of range")
+            if name.split() != [name]:  # DIMACS carries a name as one token
+                raise ValueError(f"name {name!r} of variable {index} is not one token")
             if name in by_name:
                 raise ValueError(f"name {name!r} used for variables {by_name[name]} and {index}")
             by_name[name] = index

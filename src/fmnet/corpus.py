@@ -91,18 +91,11 @@ class CorpusFailure:
 
 
 @dataclass(frozen=True)
-class DomainTest:
-    domain: str
-    hypothesis: str
-    result: WilcoxonResult
-
-
-@dataclass(frozen=True)
 class CorpusResult:
     records: tuple[CorpusRecord, ...]
     failures: tuple[CorpusFailure, ...]
     domain_stats: dict[str, dict[str, StatsSummary]]
-    tests: tuple[DomainTest, ...]
+    tests: dict[str, dict[str, WilcoxonResult]]
 
 
 def load_manifest(path: str | Path) -> CorpusManifest:
@@ -317,7 +310,7 @@ def analyze_corpus(
 
     domains = sorted({record.domain for record in records})
     domain_stats: dict[str, dict[str, StatsSummary]] = {}
-    tests: list[DomainTest] = []
+    tests: dict[str, dict[str, WilcoxonResult]] = {}
     for domain in domains:
         rows = [r for r in records if r.domain == domain]
         sizes = [float(r.num_vars) for r in rows]
@@ -325,14 +318,15 @@ def analyze_corpus(
             metric: summarize_metric([getattr(r, metric) for r in rows], sizes)
             for metric in DOMAIN_METRICS
         }
-        for label, metric_a, metric_b in DOMAIN_TESTS:
-            result = wilcoxon_signed_rank(
+        tests[domain] = {
+            label: wilcoxon_signed_rank(
                 [getattr(r, metric_a) for r in rows],
                 [getattr(r, metric_b) for r in rows],
             )
-            tests.append(DomainTest(domain, label, result))
+            for label, metric_a, metric_b in DOMAIN_TESTS
+        }
 
-    result = CorpusResult(records, failures, domain_stats, tuple(tests))
+    result = CorpusResult(records, failures, domain_stats, tests)
     if out_dir is not None:
         write_corpus_tables(Path(out_dir), result)
     return result
@@ -352,32 +346,21 @@ def write_corpus_tables(out_dir: Path, result: CorpusResult) -> None:
         r.num_arcs, r.num_conflict_edges,
         _float_cell(r.overlap_in_out_pct), _float_cell(r.overlap_in_conflict_pct),
     ] for r in result.records))
-
-    stat_rows = []
-    for domain in sorted(result.domain_stats):
-        for metric in DOMAIN_METRICS:
-            summary = result.domain_stats[domain][metric]
-            stat_rows.append([
-                domain, metric, summary.n,
-                _float_cell(summary.median),
-                _float_cell(summary.ci_low), _float_cell(summary.ci_high),
-                _float_cell(summary.rho),
-            ])
-    _write_csv(out_dir / "domain_stats.csv",
-               ["domain", "metric", "n", "median", "ci_low", "ci_high", "rho"], stat_rows)
-
-    test_rows = []
-    for test in result.tests:
-        res = test.result
-        test_rows.append([
-            test.domain, test.hypothesis, res.n_pairs, res.n_effective,
-            _float_cell(res.w_statistic), _float_cell(res.z_value),
-            _float_cell(res.p_value), int(res.significant()),
-            _float_cell(res.effect_size_r), res.effect_label,
-            int(res.degenerate),
-        ])
+    _write_csv(out_dir / "domain_stats.csv", [
+        "domain", "metric", "n", "median", "ci_low", "ci_high", "rho",
+    ], ([
+        domain, metric, s.n, _float_cell(s.median),
+        _float_cell(s.ci_low), _float_cell(s.ci_high), _float_cell(s.rho),
+    ] for domain, summaries in result.domain_stats.items()
+        for metric, s in summaries.items()))
     _write_csv(out_dir / "tests.csv", [
         "domain", "hypothesis", "n_pairs", "n_effective", "w_statistic",
         "z_value", "p_value", "significant", "effect_size_r", "effect_label",
         "degenerate",
-    ], test_rows)
+    ], ([
+        domain, hypothesis, t.n_pairs, t.n_effective,
+        _float_cell(t.w_statistic), _float_cell(t.z_value),
+        _float_cell(t.p_value), int(t.significant()),
+        _float_cell(t.effect_size_r), t.effect_label, int(t.degenerate),
+    ] for domain, results in result.tests.items()
+        for hypothesis, t in results.items()))

@@ -19,20 +19,6 @@ from xml.sax.saxutils import escape
 from .errors import InputSyntaxError
 from .strong_graphs import FeatureClassification, StrongGraphs
 
-FORMATS = ("dot", "graphml", "json")
-
-
-def export_graph(graphs: StrongGraphs, fmt: str) -> str:
-    """Render the graphs in one of FORMATS."""
-    if fmt == "dot":
-        return _to_dot(graphs)
-    if fmt == "graphml":
-        return _to_graphml(graphs)
-    if fmt == "json":
-        return _to_json(graphs)
-    raise ValueError(f"unknown export format {fmt!r}; expected one of {FORMATS}")
-
-
 def _quote_dot(name: str) -> str:
     return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
@@ -100,6 +86,17 @@ def _to_json(graphs: StrongGraphs) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
+_RENDERERS = {"dot": _to_dot, "graphml": _to_graphml, "json": _to_json}
+FORMATS = tuple(_RENDERERS)
+
+
+def export_graph(graphs: StrongGraphs, fmt: str) -> str:
+    """Render the graphs in one of FORMATS."""
+    if fmt not in _RENDERERS:
+        raise ValueError(f"unknown export format {fmt!r}; expected one of {FORMATS}")
+    return _RENDERERS[fmt](graphs)
+
+
 def graphs_from_json(text: str) -> StrongGraphs:
     """Rebuild a StrongGraphs artifact from its JSON export.
 
@@ -127,9 +124,12 @@ def graphs_from_json(text: str) -> StrongGraphs:
         arcs, edges = (
             frozenset((a, b) for a, b in payload[key]) for key in ("arcs", "conflict_edges")
         )
-        if any(type(end) is not int or not 1 <= end <= num_vars
+        # type(), not isinstance(): True is in {1}.
+        if any(type(end) is not int or end not in groups["nodes"]
                for pair in (*arcs, *edges) for end in pair):
-            raise ValueError(f"an arc or conflict edge has an endpoint outside 1..{num_vars}")
+            raise ValueError("an arc or conflict edge has an endpoint that is not a node")
+        if any(a == b for a, b in arcs) or any(a >= b for a, b in edges):
+            raise ValueError("a self-loop arc, or a conflict edge not written as [low, high]")
         classification = FeatureClassification(
             num_vars=num_vars,
             core=groups["core"],

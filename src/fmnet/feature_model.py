@@ -38,7 +38,7 @@ from typing import Container, Iterator, Union
 from .cnf import Clause, CnfFormula, normalize_clause
 from .errors import ConstraintError, DialectError
 
-_NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
+_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _TOKEN_RE = re.compile(r"\s*(=>|[!&|()]|[A-Za-z_][A-Za-z0-9_]*)")
 
 # Bounds the open parentheses, '!' and '=>' while a constraint is parsed, and
@@ -121,7 +121,7 @@ def _parse_expr(text: str, line: int) -> Expr:
             if want_operand:  # an operand is due
                 if token is None:
                     raise DialectError("constraint ends unexpectedly", line)
-                if not _NAME_RE.match(token):
+                if not _NAME_RE.fullmatch(token):
                     raise DialectError(f"unexpected token {token!r} in constraint", line)
                 operands.append(Var(token))
             elif "(" not in pending:
@@ -228,7 +228,7 @@ def parse_fm(text: str) -> FeatureModel:
     raw_constraints: list[Constraint] = []
 
     def declare(name: str, line_no: int) -> None:
-        if not _NAME_RE.match(name):
+        if not _NAME_RE.fullmatch(name):
             raise DialectError(f"invalid feature name {name!r}", line_no)
         if name in seen:
             raise DialectError(
@@ -339,12 +339,15 @@ def fm_to_cnf(model: FeatureModel) -> CnfFormula:
 
     Variables are numbered by preorder traversal; the names map records each
     feature's name. Clause order is deterministic: root unit, per-feature
-    tree clauses in preorder, then constraints in declaration order. A repeated
-    feature name, or a constraint _check_constraint rejects, is a DialectError.
+    tree clauses in preorder, then constraints in declaration order. A feature
+    name the dialect does not allow or that repeats, or a constraint
+    _check_constraint rejects, is a DialectError.
     """
     features = list(model.preorder())
     index: dict[str, int] = {}
     for number, feature in enumerate(features, start=1):
+        if not _NAME_RE.fullmatch(feature.name):
+            raise DialectError(f"invalid feature name {feature.name!r}")
         if index.setdefault(feature.name, number) != number:
             raise DialectError(f"feature {feature.name!r} declared twice")
     clauses: list[Clause] = []

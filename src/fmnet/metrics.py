@@ -38,12 +38,10 @@ class NodeMetrics:
     high_conflict: bool
 
     def degree(self, axis: str) -> int:
-        return {"in": self.in_degree, "out": self.out_degree,
-                "conflict": self.conflict_degree}[axis]
+        return getattr(self, f"{axis}_degree")
 
     def pct(self, axis: str) -> float:
-        return {"in": self.in_pct, "out": self.out_pct,
-                "conflict": self.conflict_pct}[axis]
+        return getattr(self, f"{axis}_pct")
 
 
 @dataclass(frozen=True)

@@ -62,14 +62,10 @@ class SatOutcome:
 
 def _luby(i: int) -> int:
     """The i-th term (1-based) of the Luby restart sequence."""
-    k = 1
-    while (1 << (k + 1)) - 1 <= i:
-        k += 1
-    while (1 << k) - 1 != i:
-        i -= (1 << (k - 1))
-        k -= 1
-        while (1 << (k + 1)) - 1 <= i:
-            k += 1
+    k = i.bit_length()
+    while i != (1 << k) - 1:
+        i -= (1 << (k - 1)) - 1
+        k = i.bit_length()
     return 1 << (k - 1)
 
 

@@ -162,6 +162,13 @@ class TestExport:
         _graphs_text(arcs=[[1, 9]]),
         _graphs_text(arcs=[[0, 2]]),
         _graphs_text(conflict_edges=[[1, 3]]),
+        _graphs_text(num_vars=3, core=[{"index": 3, "name": "C"}], arcs=[[1, 3]]),
+        _graphs_text(num_vars=3, dead=[{"index": 3, "name": "C"}], conflict_edges=[[3, 1]]),
+        _graphs_text(arcs=[[1, 1]]),
+        _graphs_text(conflict_edges=[[2, 2]]),
+        _graphs_text(conflict_edges=[[2, 1]]),
+        _graphs_text(num_vars=3, nodes=[{"index": i, "name": n} for i, n in enumerate("ABC", 1)],
+                     conflict_edges=[[2, 3], [3, 2]]),
     ])
     def test_not_a_graphs_artifact(self, tmp_path, capsys, text):
         fmnet.graphs_from_json(_graphs_text())  # the sound base payload parses

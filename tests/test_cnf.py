@@ -47,6 +47,21 @@ class TestCnfFormula:
         with pytest.raises(ValueError, match="used for variables"):
             CnfFormula(num_vars=2, clauses=(), names={1: "X", 2: "X"})
 
+    @pytest.mark.parametrize("name", ["", "a b", "x\ty", " A", "A\n", "A\u00a0B", "A\x1cB"])
+    def test_name_must_be_one_token(self, name):
+        with pytest.raises(ValueError, match="is not one token"):
+            CnfFormula(num_vars=2, clauses=((1,),), names={1: "A", 2: name})
+
+    @pytest.mark.parametrize("name", [
+        'A"B', "A<B&C", "c", "p", "0", "-1", "é", "a b", "x\ty", "", "A\n", "A\u2028B",
+    ])
+    def test_every_accepted_name_survives_dimacs(self, name):
+        try:
+            formula = CnfFormula(num_vars=2, clauses=((1,),), names={1: "A", 2: name})
+        except ValueError:
+            return
+        assert parse_dimacs(emit_dimacs(formula)) == formula
+
     def test_name_of_falls_back_to_index(self):
         formula = CnfFormula(num_vars=2, clauses=(), names={1: "A"})
         assert formula.name_of(1) == "A"

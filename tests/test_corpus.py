@@ -273,10 +273,9 @@ class TestAnalyzeCorpus:
             "core_pct", "dead_pct", "require_density", "exclude_density"
         }
         assert stats["core_pct"].n == 3
-        hypotheses = {(t.domain, t.hypothesis) for t in result.tests}
-        assert hypotheses == {
-            ("systems", "dead_gt_core"), ("systems", "excludes_gt_requires"),
-        }
+        assert set(result.tests) == {"systems"}
+        assert set(result.tests["systems"]) == {"dead_gt_core", "excludes_gt_requires"}
+        assert result.tests["systems"]["dead_gt_core"].n_pairs == 3
 
     def test_tables_written(self, tmp_path):
         out = tmp_path / "tables"

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from conftest import tt_model_count, tt_models, truth_table_mask
+from fmnet.cnf import emit_dimacs, parse_dimacs
 from fmnet.errors import ConstraintError, DialectError
 from fmnet.feature_model import (
     MAX_CONSTRAINT_DEPTH,
@@ -279,6 +280,22 @@ class TestEncoding:
                        children=[Feature("A", mandatory=True), Feature("A")])
         with pytest.raises(DialectError, match="feature 'A' declared twice"):
             fm_to_cnf(FeatureModel(root, []))
+
+    @pytest.mark.parametrize("name", ["a b", "x\ty", "", "1x", "A-B", "A\n", "é"])
+    def test_built_model_with_invalid_name(self, name):
+        # A DIMACS name comment carries only dialect names intact (no whitespace).
+        for root in (Feature(name, mandatory=True, children=[Feature("C")]),
+                     Feature("R", mandatory=True, children=[Feature(name)])):
+            with pytest.raises(DialectError) as raised:
+                fm_to_cnf(FeatureModel(root, []))
+            assert str(raised.value) == f"invalid feature name {name!r}"
+
+    def test_built_model_names_survive_dimacs(self):
+        root = Feature("_r0", mandatory=True,
+                       children=[Feature("Ab_9"), Feature("c", children=[Feature("p")])])
+        formula = fm_to_cnf(FeatureModel(root, []))
+        assert formula.names == {1: "_r0", 2: "Ab_9", 3: "c", 4: "p"}
+        assert parse_dimacs(emit_dimacs(formula)) == formula
 
     def test_unsupported_constraint_shape(self):
         text = (

@@ -316,6 +316,19 @@ class TestRarelyReachedPaths:
         # Each solve asks for term 1 once; every later term is one restart.
         assert sum(i > 1 for i in luby_terms) > 400
 
+    def test_luby_sequence(self):
+        def luby(i):  # t_i = 2^(k-1) if i = 2^k - 1, else t_(i - 2^(k-1) + 1)
+            k = 1
+            while (1 << k) - 1 < i:
+                k += 1
+            if i == (1 << k) - 1:
+                return 1 << (k - 1)
+            return luby(i - (1 << (k - 1)) + 1)
+
+        terms = [sat._luby(i) for i in range(1, 64)]
+        assert terms[:15] == [1, 1, 2, 1, 1, 2, 4, 1, 1, 2, 1, 1, 2, 4, 8]
+        assert terms == [luby(i) for i in range(1, 64)]
+
     def test_activity_rescale(self, monkeypatch):
         monkeypatch.setattr(sat, "_ACTIVITY_LIMIT", 4.0)
         engines = self.solve_random(707)
