@@ -7,7 +7,8 @@ understood as a disjunction; a formula is a conjunction of clauses.
 Variable names ride along in an optional map from index to name. The DIMACS
 form carries them as ``c <index> <name>`` comment lines, which may appear
 before or after the problem line, so a name is one token without whitespace.
-Unnamed variables fall back to ``v<index>``.
+Unnamed variables fall back to ``v<index>``, so no other variable may take
+that name while variable <index> has none.
 """
 
 from __future__ import annotations
@@ -18,6 +19,21 @@ from typing import Iterable, Mapping
 from .errors import DimacsError
 
 Clause = tuple[int, ...]
+
+
+def _integer(token: str) -> int | None:
+    """The value of an ASCII decimal token ``-?[0-9]+``; None for any other,
+    and for one with more digits than ``int()`` converts.
+
+    ``token`` comes from ``str.split()`` and so holds no whitespace; of the
+    ASCII strings left, ``int()`` accepts more only with ``+`` or ``_``.
+    """
+    if token.isascii() and "+" not in token and "_" not in token:
+        try:
+            return int(token)
+        except ValueError:
+            pass
+    return None
 
 
 def normalize_clause(literals: Iterable[int]) -> Clause | None:
@@ -71,6 +87,13 @@ class CnfFormula:
             if name in by_name:
                 raise ValueError(f"name {name!r} used for variables {by_name[name]} and {index}")
             by_name[name] = index
+        if 0 < len(by_name) < self.num_vars:  # named and unnamed variables meet
+            for k in self.variables():
+                if k not in self.names and f"v{k}" in by_name:
+                    raise ValueError(
+                        f"name 'v{k}' of variable {by_name[f'v{k}']} is the fallback name"
+                        f" of unnamed variable {k}"
+                    )
 
     def name_of(self, var: int) -> str:
         return self.names.get(var, f"v{var}")
@@ -87,7 +110,10 @@ def parse_dimacs(text: str) -> CnfFormula:
     number of clauses read equal to the declared count. Tautologies and
     duplicate literals are normalized away after that count check. Blank
     lines and comments are accepted anywhere; a comment of the exact shape
-    ``c <index> <name>`` declares a variable name.
+    ``c <index> <name>`` declares a variable name. Every number (a literal,
+    a count on the problem line, a name comment's index) is written in ASCII
+    digits with an optional leading ``-``; ``+1``, ``1_0`` or other digits
+    are refused, and a comment whose index is not such a number is plain.
     """
     num_vars: int | None = None
     declared_clauses: int | None = None
@@ -103,8 +129,9 @@ def parse_dimacs(text: str) -> CnfFormula:
             continue
         if stripped.startswith("c"):
             tokens = stripped[1:].split()
-            if len(tokens) == 2 and tokens[0].isdigit() and int(tokens[0]) > 0:
-                name_comments.append((line_no, int(tokens[0]), tokens[1]))
+            index = _integer(tokens[0]) if len(tokens) == 2 else None
+            if index is not None and index > 0:
+                name_comments.append((line_no, index, tokens[1]))
             continue
         if stripped.startswith("p"):
             if num_vars is not None:
@@ -112,10 +139,9 @@ def parse_dimacs(text: str) -> CnfFormula:
             parts = stripped.split()
             if len(parts) != 4 or parts[1] != "cnf":
                 raise DimacsError(f"malformed problem line {stripped!r}", line_no)
-            try:
-                num_vars, declared_clauses = int(parts[2]), int(parts[3])
-            except ValueError:
-                raise DimacsError(f"malformed problem line {stripped!r}", line_no) from None
+            num_vars, declared_clauses = _integer(parts[2]), _integer(parts[3])
+            if num_vars is None or declared_clauses is None:
+                raise DimacsError(f"malformed problem line {stripped!r}", line_no)
             if num_vars < 0 or declared_clauses < 0:
                 raise DimacsError("negative counts in problem line", line_no)
             continue
@@ -123,10 +149,9 @@ def parse_dimacs(text: str) -> CnfFormula:
         if num_vars is None:
             raise DimacsError("clause data before problem line", line_no)
         for token in stripped.split():
-            try:
-                lit = int(token)
-            except ValueError:
-                raise DimacsError(f"invalid literal token {token!r}", line_no) from None
+            lit = _integer(token)
+            if lit is None:
+                raise DimacsError(f"invalid literal token {token!r}", line_no)
             if lit == 0:
                 clause_count += 1
                 if not pending:

@@ -45,6 +45,9 @@ from .strong_graphs import StrongGraphs, compute_strong_graphs
 
 FORMATS = ("dimacs", "fm")
 
+# The corpus-level tables, written next to the model directories.
+CORPUS_TABLES = ("corpus.csv", "domain_stats.csv", "tests.csv")
+
 # Metrics aggregated per domain, in report order.
 DOMAIN_METRICS = ("core_pct", "dead_pct", "require_density", "exclude_density")
 
@@ -120,6 +123,8 @@ def load_manifest(path: str | Path) -> CorpusManifest:
                 raise InputSyntaxError(
                     f"model id {model_id!r} is not a plain directory name", row_no
                 )
+            if model_id in CORPUS_TABLES:
+                raise InputSyntaxError(f"model id {model_id!r} names a corpus table", row_no)
             if model_id in seen:
                 raise InputSyntaxError(f"duplicate model id {model_id!r}", row_no)
             seen.add(model_id)
@@ -334,7 +339,8 @@ def analyze_corpus(
 
 def write_corpus_tables(out_dir: Path, result: CorpusResult) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_csv(out_dir / "corpus.csv", [
+    corpus_csv, domain_stats_csv, tests_csv = (out_dir / name for name in CORPUS_TABLES)
+    _write_csv(corpus_csv, [
         "id", "domain", "num_vars", "num_configurable",
         "core_pct", "dead_pct", "require_density", "exclude_density",
         "num_arcs", "num_conflict_edges",
@@ -346,14 +352,14 @@ def write_corpus_tables(out_dir: Path, result: CorpusResult) -> None:
         r.num_arcs, r.num_conflict_edges,
         _float_cell(r.overlap_in_out_pct), _float_cell(r.overlap_in_conflict_pct),
     ] for r in result.records))
-    _write_csv(out_dir / "domain_stats.csv", [
+    _write_csv(domain_stats_csv, [
         "domain", "metric", "n", "median", "ci_low", "ci_high", "rho",
     ], ([
         domain, metric, s.n, _float_cell(s.median),
         _float_cell(s.ci_low), _float_cell(s.ci_high), _float_cell(s.rho),
     ] for domain, summaries in result.domain_stats.items()
         for metric, s in summaries.items()))
-    _write_csv(out_dir / "tests.csv", [
+    _write_csv(tests_csv, [
         "domain", "hypothesis", "n_pairs", "n_effective", "w_statistic",
         "z_value", "p_value", "significant", "effect_size_r", "effect_label",
         "degenerate",

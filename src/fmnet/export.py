@@ -121,6 +121,8 @@ def graphs_from_json(text: str) -> StrongGraphs:
             groups[key] = frozenset(indices)
         if not sum(len(payload[key]) for key in groups) == len(names) == num_vars:
             raise ValueError(f"nodes, core and dead do not partition 1..{num_vars}")
+        if len(set(names.values())) != num_vars:
+            raise ValueError("two features share a name")
         arcs, edges = (
             frozenset((a, b) for a, b in payload[key]) for key in ("arcs", "conflict_edges")
         )

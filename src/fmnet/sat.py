@@ -12,9 +12,10 @@ the semantic contract; which model comes back is an implementation detail
 that tests must not rely on beyond "it satisfies the formula".
 
 A model leaves this module as one integer, the bitmask of the variables it
-sets true (bit v for variable v, bit 0 clear). What propagation implies
-leaves it as masks too, one of the variables set true and one of those set
-false. No other module decodes either.
+sets true (bit v for variable v, bit 0 clear). What unit propagation
+derives from the formula and the assumptions leaves it as masks too, one of
+the variables set true and one of those set false. No other module decodes
+either.
 """
 
 from __future__ import annotations
@@ -102,59 +103,50 @@ class SatEngine:
 
     def add_clause(self, literals: Iterable[int]) -> None:
         """Add a clause; safe between solve calls."""
-        if not self._at_root():
-            return
         normalized = normalize_clause(literals)
         if normalized is None:  # tautology
             return
+        codes = self._codes(normalized, "literal")
+        if not self._at_root():
+            return
         lits = []
-        for lit in normalized:
-            var = abs(lit)
-            if var > self.num_vars:
-                raise ValueError(f"literal {lit} out of range")
-            code = (var << 1) | (lit < 0)
-            value = self._values[var] ^ (code & 1)
-            if value == _TRUE and self._levels[var] == 0:
+        for code in codes:
+            value = self._values[code >> 1] ^ (code & 1)
+            if value == _TRUE:
                 return  # already satisfied at the root
-            if value == _FALSE and self._levels[var] == 0:
-                continue  # permanently false literal
-            lits.append(code)
+            if value != _FALSE:  # a literal false at the root is dropped
+                lits.append(code)
         if not lits:
             self._ok = False
-            return
-        if len(lits) == 1:
+        elif len(lits) == 1:
             self._assign(lits[0], -1)
             self._at_root()
-            return
-        cid = len(self._clauses)
-        self._clauses.append(lits)
-        self._watches[lits[0]].append(cid)
-        self._watches[lits[1]].append(cid)
+        else:
+            self._attach(lits)
 
     def implied_literals(self, assumptions: Sequence[int]) -> tuple[int, int] | None:
-        """What unit propagation alone derives from the assumptions.
+        """What unit propagation alone derives from the formula and the assumptions.
 
-        Returns ``(true_mask, false_mask)``, the variables set true and set
-        false above the root level (bit v for variable v), the assumptions
-        included; None when propagation runs into a conflict. Variables fixed
-        at the root are left out. Nothing is learned.
+        Returns ``(true_mask, false_mask)``, every variable set true and set
+        false (bit v for variable v): those fixed at the root, the
+        assumptions, and what they propagate. None when propagation runs
+        into a conflict. Nothing is learned.
         """
-        codes = self._assumption_codes(assumptions)
+        codes = self._codes(assumptions, "assumption")
         if not self._at_root():
             return None
-        root = len(self._trail)
         for code in codes:
             if not self._decide(code) or self._propagate() is not None:
                 return None
         masks = [0, 0]
-        for code in self._trail[root:]:
+        for code in self._trail:
             masks[code & 1] |= 1 << (code >> 1)
         return masks[0], masks[1]
 
     def solve(self, assumptions: Sequence[int] = ()) -> SatOutcome:
         """Decide satisfiability of the clauses under the given assumptions."""
         self.num_solve_calls += 1
-        codes = self._assumption_codes(assumptions)
+        codes = self._codes(assumptions, "assumption")
         if not self._at_root():
             return SatOutcome(Status.UNSAT)
 
@@ -170,7 +162,7 @@ class SatEngine:
                     return SatOutcome(Status.UNSAT)
                 learnt, backjump = self._analyze(conflict)
                 self._cancel_until(backjump)
-                self._record_learnt(learnt)
+                self._assign(learnt[0], self._attach(learnt) if len(learnt) > 1 else -1)
                 self._activity_inc *= _ACTIVITY_DECAY
                 continue
             if conflicts >= restart_limit:
@@ -194,12 +186,13 @@ class SatEngine:
 
     # ---- internals ----
 
-    def _assumption_codes(self, assumptions: Sequence[int]) -> list[int]:
+    def _codes(self, literals: Iterable[int], kind: str) -> list[int]:
+        """Literal codes (positive v -> 2v, negative v -> 2v + 1), range-checked."""
         codes = []
-        for lit in assumptions:
+        for lit in literals:
             var = abs(lit)
             if not isinstance(lit, int) or lit == 0 or var > self.num_vars:
-                raise ValueError(f"assumption {lit} out of range 1..{self.num_vars}")
+                raise ValueError(f"{kind} {lit} out of range 1..{self.num_vars}")
             codes.append((var << 1) | (lit < 0))
         return codes
 
@@ -342,15 +335,13 @@ class SatEngine:
         learnt[1], learnt[best] = learnt[best], learnt[1]
         return learnt, levels[learnt[1] >> 1]
 
-    def _record_learnt(self, learnt: list[int]) -> None:
-        if len(learnt) == 1:
-            self._assign(learnt[0], -1)
-            return
+    def _attach(self, lits: list[int]) -> int:
+        """Store a clause of two or more literals, watching its first two."""
         cid = len(self._clauses)
-        self._clauses.append(learnt)
-        self._watches[learnt[0]].append(cid)
-        self._watches[learnt[1]].append(cid)
-        self._assign(learnt[0], cid)
+        self._clauses.append(lits)
+        self._watches[lits[0]].append(cid)
+        self._watches[lits[1]].append(cid)
+        return cid
 
     def _bump_activity(self, var: int) -> None:
         self._activity[var] += self._activity_inc
@@ -370,7 +361,8 @@ def enumerate_models(formula: CnfFormula, var_limit: int = 25) -> Iterator[int]:
 
     Standard blocking-clause loop: after each model, a clause forbidding
     exactly that total assignment is added, so the count is exact and no
-    model repeats. Refuses formulas wider than ``var_limit`` variables
+    model repeats; the one model of a formula without variables is blocked
+    by the empty clause. Refuses formulas wider than ``var_limit`` variables
     since the model count can be exponential.
     """
     if formula.num_vars > var_limit:
@@ -378,14 +370,6 @@ def enumerate_models(formula: CnfFormula, var_limit: int = 25) -> Iterator[int]:
             f"enumeration over {formula.num_vars} variables exceeds the limit of {var_limit}"
         )
     engine = SatEngine(formula)
-    while True:
-        outcome = engine.solve()
-        if outcome.status is Status.UNSAT:
-            return
-        model = outcome.model
-        assert model is not None
+    while (model := engine.solve().model) is not None:
         yield model
-        blocking = [-v if model >> v & 1 else v for v in range(1, formula.num_vars + 1)]
-        if not blocking:  # zero-variable formula has the one empty model
-            return
-        engine.add_clause(blocking)
+        engine.add_clause([-v if model >> v & 1 else v for v in formula.variables()])

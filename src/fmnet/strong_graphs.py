@@ -11,8 +11,9 @@ symmetric and collapse to undirected edges.
 Both questions are one question under different assumptions: what does
 selecting nothing, or selecting v, force? ``_forced`` answers it on one
 incremental solver per model, each candidate by the cheapest route that
-works. Unit propagation from the assumptions confirms every candidate it
-derives. Every model the solver returns is a witness: it refutes the
+works. Unit propagation from the formula and the assumptions confirms every
+candidate it derives, the literals the formula fixes at the root included,
+without a query. Every model the solver returns is a witness: it refutes the
 candidates it disagrees with, for the feature at hand and, through the
 caller's ``witness``, for every feature it selects. Only what is left gets
 a query of its own, the assumptions plus the candidate negated, which is
@@ -157,7 +158,8 @@ def compute_backbone(engine: SatEngine) -> Backbone:
     """Backbone of the formula ``engine`` was built from.
 
     Each variable is tested at most once, against its value in the first
-    model. Raises VoidModelError when the formula is unsatisfiable.
+    model; one that propagation fixes at the root takes no query. Raises
+    VoidModelError when the formula is unsatisfiable.
     """
     calls_before = engine.num_solve_calls
     outcome = engine.solve()

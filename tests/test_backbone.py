@@ -15,6 +15,20 @@ from fmnet.sat import SatEngine
 from fmnet.strong_graphs import Backbone, compute_backbone
 
 
+def unit_fixed(formula):
+    """Literals that unit propagation from the clauses alone fixes."""
+    fixed = set()
+    while True:
+        for clause in formula.clauses:
+            if not fixed.intersection(clause):
+                left = [lit for lit in clause if -lit not in fixed]
+                if len(left) == 1:
+                    fixed.add(left[0])
+                    break
+        else:
+            return frozenset(fixed)
+
+
 class TestBackboneDataclass:
     def test_rejects_both_polarities(self):
         with pytest.raises(ValueError, match="both polarities"):
@@ -77,13 +91,19 @@ class TestComputeBackbone:
 
     def test_models_are_the_models_found(self):
         # Each mask is a model of the formula; there is one per SAT answer,
-        # i.e. one per solve that did not confirm a backbone literal.
+        # i.e. one per solve that did not confirm a backbone literal. The
+        # literals fixed at the root once the first model is found are
+        # confirmed by propagation and take no solve.
         rng = random.Random(31)
         for _ in range(100):
             num_vars = rng.randint(1, 12)
             formula = random_satisfiable_cnf(rng, num_vars, rng.uniform(1.5, 4.0))
             backbone = compute_backbone(SatEngine(formula))
-            assert len(backbone.models) == backbone.sat_calls - len(backbone.literals)
+            probe = SatEngine(formula)
+            probe.solve()
+            root_true, root_false = probe.implied_literals(())
+            queried = len(backbone.literals) - bin(root_true | root_false).count("1")
+            assert len(backbone.models) + queried == backbone.sat_calls
             assert set(backbone.models) <= set(tt_model_masks(formula))
             for lit in backbone.literals:
                 assert all((mask >> abs(lit) & 1) == (lit > 0) for mask in backbone.models)
@@ -112,6 +132,37 @@ class TestComputeBackbone:
                 assert not any((m >> abs(query) & 1) == (query > 0) for m in earlier)
             saved += num_vars + 1 - backbone.sat_calls
         assert saved > 0
+
+    def test_no_query_for_a_variable_fixed_at_the_root(self, monkeypatch):
+        # Unit clauses and the binary clauses they propagate through fix
+        # variables at the root; propagation settles those without a query.
+        queried = []
+        solve = SatEngine.solve
+
+        def recording(self, assumptions=()):
+            queried.extend(abs(lit) for lit in assumptions)
+            return solve(self, assumptions)
+
+        monkeypatch.setattr(SatEngine, "solve", recording)
+        rng = random.Random(808)
+        fixed_seen = 0
+        for _ in range(100):
+            num_vars = rng.randint(2, 12)
+            while True:
+                base = random_cnf(rng, num_vars, rng.uniform(0.5, 2.0), width=2)
+                units = tuple((v if rng.random() < 0.5 else -v,)
+                              for v in rng.sample(range(1, num_vars + 1), rng.randint(1, 2)))
+                formula = CnfFormula(num_vars=num_vars, clauses=base.clauses + units)
+                if truth_table_mask(formula):
+                    break
+            fixed = unit_fixed(formula)
+            queried.clear()
+            backbone = compute_backbone(SatEngine(formula))
+            assert backbone.literals == tt_backbone_literals(formula)
+            assert fixed <= backbone.literals
+            assert not {abs(lit) for lit in fixed} & set(queried)
+            fixed_seen += len(fixed)
+        assert fixed_seen > 150
 
     def test_reused_engine_agrees_with_truth_table(self):
         # The engine may have answered other queries and learned clauses.

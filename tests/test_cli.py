@@ -79,6 +79,13 @@ class TestAnalyze:
         assert cli.main(["analyze", str(path)]) == cli.EXIT_VOID_MODEL
         assert "empty clause" in capsys.readouterr().err
 
+    def test_name_taking_a_fallback_name_is_input_error(self, tmp_path, capsys):
+        path = tmp_path / "clash.cnf"
+        path.write_text("c 1 v2\np cnf 2 1\n-1 -2 0\n", "utf-8")
+        assert cli.main(["analyze", str(path)]) == cli.EXIT_INPUT_ERROR
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line == "error: name 'v2' of variable 1 is the fallback name of unnamed variable 2"
+
     def test_deep_constraint_is_input_error(self, tmp_path, capsys):
         path = tmp_path / "deep.fm"
         path.write_text(
@@ -108,6 +115,20 @@ class TestCorpus:
         manifest = tmp_path / "manifest.csv"
         manifest.write_text("id,path,format,domain\nx,ghost.fm,fm,d\n", "utf-8")
         assert cli.main(["corpus", str(manifest)]) == cli.EXIT_INPUT_ERROR
+
+    def test_id_naming_a_corpus_table(self, fixture_file, tmp_path, capsys):
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text(
+            "id,path,format,domain\n"
+            f"a,{fixture_file.name},fm,systems\ncorpus.csv,{fixture_file.name},fm,systems\n",
+            "utf-8",
+        )
+        out = tmp_path / "corpus-out"
+        code = cli.main(["corpus", str(manifest), "--out", str(out)])
+        assert code == cli.EXIT_INPUT_ERROR
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line == "error: line 3: model id 'corpus.csv' names a corpus table"
+        assert not out.exists()
 
     @pytest.mark.parametrize("option", [
         ["--threshold", "0"], ["--jobs", "0"], ["--jobs", "-2"],
@@ -169,6 +190,7 @@ class TestExport:
         _graphs_text(conflict_edges=[[2, 1]]),
         _graphs_text(num_vars=3, nodes=[{"index": i, "name": n} for i, n in enumerate("ABC", 1)],
                      conflict_edges=[[2, 3], [3, 2]]),
+        _graphs_text(nodes=[{"index": 1, "name": "A"}, {"index": 2, "name": "A"}]),
     ])
     def test_not_a_graphs_artifact(self, tmp_path, capsys, text):
         fmnet.graphs_from_json(_graphs_text())  # the sound base payload parses

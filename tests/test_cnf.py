@@ -62,6 +62,16 @@ class TestCnfFormula:
             return
         assert parse_dimacs(emit_dimacs(formula)) == formula
 
+    def test_name_must_not_be_an_unnamed_variables_fallback(self):
+        # DOT, GraphML and nodes.csv would show variables 1 and 2 as one v2.
+        with pytest.raises(ValueError, match="'v2' of variable 1 is the fallback name of unnamed variable 2"):
+            CnfFormula(num_vars=2, clauses=((-1, -2),), names={1: "v2"})
+
+    @pytest.mark.parametrize("names", [{1: "v2", 2: "v1"}, {1: "v1"}, {1: "v02"}, {1: "v3"}])
+    def test_fallback_shaped_name_that_names_no_one_else(self, names):
+        formula = CnfFormula(num_vars=2, clauses=(), names=names)
+        assert len({formula.name_of(v) for v in formula.variables()}) == 2
+
     def test_name_of_falls_back_to_index(self):
         formula = CnfFormula(num_vars=2, clauses=(), names={1: "A"})
         assert formula.name_of(1) == "A"
@@ -124,6 +134,11 @@ class TestParseDimacs:
         with pytest.raises(DimacsError, match="malformed problem line"):
             parse_dimacs("p cnf one 1\n")
 
+    @pytest.mark.parametrize("line", ["p cnf 1_2 1", "p cnf +2 1", "p cnf 2 \u0661"])
+    def test_problem_line_counts_are_ascii_integers(self, line):
+        with pytest.raises(DimacsError, match="line 1: malformed problem line"):
+            parse_dimacs(f"{line}\n1 0\n")
+
     def test_negative_counts_in_problem_line(self):
         with pytest.raises(DimacsError, match="line 1: negative counts"):
             parse_dimacs("p cnf -1 0\n")
@@ -135,6 +150,20 @@ class TestParseDimacs:
     def test_invalid_literal_token(self):
         with pytest.raises(DimacsError, match="invalid literal token"):
             parse_dimacs("p cnf 1 1\n1 x 0\n")
+
+    @pytest.mark.parametrize("token", [
+        "1_0", "+1", "\u0661", pytest.param("1" * 5000, id="5000-digits"),
+    ])
+    def test_literal_is_an_ascii_integer(self, token):
+        with pytest.raises(DimacsError, match="line 2: invalid literal token"):
+            parse_dimacs(f"p cnf 12 1\n{token} 0\n")
+
+    @pytest.mark.parametrize("index", [
+        "\u00b2", "\u0663", "+1", "1_0", pytest.param("1" * 5000, id="5000-digits"),
+    ])
+    def test_comment_without_an_ascii_index_is_plain(self, index):
+        formula = parse_dimacs(f"c {index} x\np cnf 10 1\n1 0\n")
+        assert formula.names == {}
 
     def test_unterminated_final_clause(self):
         with pytest.raises(DimacsError, match="not 0-terminated"):

@@ -145,6 +145,17 @@ class TestLoadManifest:
         with pytest.raises(InputSyntaxError, match="line 3: model id .* is not a plain directory"):
             load_manifest(manifest)
 
+    @pytest.mark.parametrize("model_id", ["corpus.csv", "domain_stats.csv", "tests.csv"])
+    def test_id_must_not_name_a_corpus_table(self, tmp_path, model_id):
+        # The corpus tables sit next to the model directories under --out.
+        (tmp_path / "a.fm").write_text(SMALL_FM, "utf-8")
+        manifest = write_corpus(tmp_path, [
+            ("ok", "a.fm", "fm", "x"),
+            (model_id, "a.fm", "fm", "x"),
+        ])
+        with pytest.raises(InputSyntaxError, match=f"line 3: model id '{model_id}' names a corpus"):
+            load_manifest(manifest)
+
     def test_unknown_format_rejected(self, tmp_path):
         (tmp_path / "a.fm").write_text(SMALL_FM, "utf-8")
         manifest = write_corpus(tmp_path, [("a", "a.fm", "xml", "x")])
