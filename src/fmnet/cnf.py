@@ -55,6 +55,24 @@ def normalize_clause(literals: Iterable[int]) -> Clause | None:
     return tuple(out)
 
 
+def _name_clash(names: Mapping[int, str], num_vars: int) -> tuple[int, str] | None:
+    """The first name, in the map's order, that repeats an earlier one or is
+    the fallback name ``v<k>`` of an unnamed variable k, with the reason;
+    None when the names clash nowhere."""
+    by_name: dict[str, int] = {}
+    for index, name in names.items():
+        if name in by_name:
+            return index, f"name {name!r} used for variables {by_name[name]} and {index}"
+        by_name[name] = index
+    for index, name in names.items():
+        k = _integer(name[1:]) if name.startswith("v") else None
+        if k is not None and name == f"v{k}" and 0 < k <= num_vars and k not in names:
+            return index, (
+                f"name {name!r} of variable {index} is the fallback name of unnamed variable {k}"
+            )
+    return None
+
+
 @dataclass(frozen=True)
 class CnfFormula:
     """An immutable CNF formula over variables 1..num_vars.
@@ -78,22 +96,14 @@ class CnfFormula:
             for lit in clause:
                 if not 1 <= abs(lit) <= self.num_vars:
                     raise ValueError(f"literal {lit} out of range 1..{self.num_vars}")
-        by_name: dict[str, int] = {}
         for index, name in self.names.items():
             if not 1 <= index <= self.num_vars:
                 raise ValueError(f"name index {index} out of range")
             if name.split() != [name]:  # DIMACS carries a name as one token
                 raise ValueError(f"name {name!r} of variable {index} is not one token")
-            if name in by_name:
-                raise ValueError(f"name {name!r} used for variables {by_name[name]} and {index}")
-            by_name[name] = index
-        if 0 < len(by_name) < self.num_vars:  # named and unnamed variables meet
-            for k in self.variables():
-                if k not in self.names and f"v{k}" in by_name:
-                    raise ValueError(
-                        f"name 'v{k}' of variable {by_name[f'v{k}']} is the fallback name"
-                        f" of unnamed variable {k}"
-                    )
+        clash = _name_clash(self.names, self.num_vars)
+        if clash is not None:
+            raise ValueError(clash[1])
 
     def name_of(self, var: int) -> str:
         return self.names.get(var, f"v{var}")
@@ -178,12 +188,17 @@ def parse_dimacs(text: str) -> CnfFormula:
         )
 
     names: dict[int, str] = {}
+    name_lines: dict[int, int] = {}
     for line_no, index, name in name_comments:
         if index > num_vars:
             raise DimacsError(f"name comment for variable {index} out of range", line_no)
         if index in names:
             raise DimacsError(f"duplicate name comment for variable {index}", line_no)
         names[index] = name
+        name_lines[index] = line_no
+    clash = _name_clash(names, num_vars)
+    if clash is not None:
+        raise DimacsError(clash[1], name_lines[clash[0]])
 
     return CnfFormula(
         num_vars=num_vars, clauses=tuple(clauses), names=names, trivially_unsat=trivially_unsat

@@ -14,8 +14,9 @@ that tests must not rely on beyond "it satisfies the formula".
 A model leaves this module as one integer, the bitmask of the variables it
 sets true (bit v for variable v, bit 0 clear). What unit propagation
 derives from the formula and the assumptions leaves it as masks too, one of
-the variables set true and one of those set false. No other module decodes
-either.
+the variables set true and one of those set false; given candidate
+literals, propagation also takes in, one at a time, each candidate that
+does not lead to a conflict. No other module decodes either.
 """
 
 from __future__ import annotations
@@ -124,20 +125,33 @@ class SatEngine:
         else:
             self._attach(lits)
 
-    def implied_literals(self, assumptions: Sequence[int]) -> tuple[int, int] | None:
+    def implied_literals(
+        self, assumptions: Sequence[int], candidates: Sequence[int] = ()
+    ) -> tuple[int, int] | None:
         """What unit propagation alone derives from the formula and the assumptions.
 
         Returns ``(true_mask, false_mask)``, every variable set true and set
         false (bit v for variable v): those fixed at the root, the
         assumptions, and what they propagate. None when propagation runs
         into a conflict. Nothing is learned.
+
+        Each of the ``candidates`` is then added in turn, greedily: it is
+        skipped when already false and dropped again when its propagation
+        conflicts, and otherwise kept with what it propagates. The kept
+        candidates are exactly the candidates true in the masks, since what
+        propagation derives only grows with what it starts from.
         """
         codes = self._codes(assumptions, "assumption")
+        extra = self._codes(candidates, "candidate")
         if not self._at_root():
             return None
         for code in codes:
             if not self._decide(code) or self._propagate() is not None:
                 return None
+        for code in extra:
+            level = len(self._trail_lim)
+            if self._decide(code) and self._propagate() is not None:
+                self._cancel_until(level)
         masks = [0, 0]
         for code in self._trail:
             masks[code & 1] |= 1 << (code >> 1)

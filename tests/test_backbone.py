@@ -11,7 +11,7 @@ from conftest import (
 )
 from fmnet.cnf import CnfFormula
 from fmnet.errors import VoidModelError
-from fmnet.sat import SatEngine
+from fmnet.sat import SatEngine, Status
 from fmnet.strong_graphs import Backbone, compute_backbone
 
 
@@ -81,6 +81,36 @@ class TestComputeBackbone:
             backbone = compute_backbone(SatEngine(formula))
             assert backbone.sat_calls <= num_vars + 1
 
+    def test_chunks_keep_the_call_budget(self, monkeypatch):
+        # Unit clauses settle candidates by propagation, which pays for
+        # chunk queries (several candidates at once). Without a unit clause
+        # nothing pays for one. However the chunks answer, the budget above
+        # holds.
+        chunks = {Status.SAT: 0, Status.UNSAT: 0}
+        solve = SatEngine.solve
+
+        def recording(self, assumptions=()):
+            outcome = solve(self, assumptions)
+            if len(assumptions) > 1:
+                chunks[outcome.status] += 1
+            return outcome
+
+        monkeypatch.setattr(SatEngine, "solve", recording)
+        rng = random.Random(2015)
+        for _ in range(300):
+            num_vars = rng.randint(4, 14)
+            while True:
+                base = random_cnf(rng, num_vars, rng.uniform(1.0, 4.0))
+                units = tuple((v if rng.random() < 0.5 else -v,)
+                              for v in rng.sample(range(1, num_vars + 1), rng.randint(0, 2)))
+                formula = CnfFormula(num_vars=num_vars, clauses=base.clauses + units)
+                if truth_table_mask(formula):
+                    break
+            backbone = compute_backbone(SatEngine(formula))
+            assert backbone.literals == tt_backbone_literals(formula)
+            assert backbone.sat_calls <= num_vars + 1
+        assert chunks[Status.SAT] > 100 and chunks[Status.UNSAT] > 0
+
     def test_counts_only_its_own_solves(self):
         engine = SatEngine(CnfFormula(num_vars=3, clauses=((1,), (-1, 2))))
         engine.solve()
@@ -89,28 +119,42 @@ class TestComputeBackbone:
         assert backbone.sat_calls == engine.num_solve_calls - 2
         assert backbone.sat_calls <= 4
 
-    def test_models_are_the_models_found(self):
-        # Each mask is a model of the formula; there is one per SAT answer,
-        # i.e. one per solve that did not confirm a backbone literal. The
-        # literals fixed at the root once the first model is found are
-        # confirmed by propagation and take no solve.
+    def test_models_are_the_models_found(self, monkeypatch):
+        # Each mask is a model of the formula, and there is one per SAT
+        # answer. Each backbone literal takes one single-literal UNSAT
+        # answer, except those fixed at the root once the first model is
+        # found: propagation confirms them without a solve. A chunk query
+        # (several literals) that is UNSAT confirms nothing.
+        answers = []
+        solve = SatEngine.solve
+
+        def recording(self, assumptions=()):
+            outcome = solve(self, assumptions)
+            answers.append((len(assumptions), outcome.status))
+            return outcome
+
+        monkeypatch.setattr(SatEngine, "solve", recording)
         rng = random.Random(31)
         for _ in range(100):
             num_vars = rng.randint(1, 12)
             formula = random_satisfiable_cnf(rng, num_vars, rng.uniform(1.5, 4.0))
-            backbone = compute_backbone(SatEngine(formula))
             probe = SatEngine(formula)
             probe.solve()
             root_true, root_false = probe.implied_literals(())
+            answers.clear()
+            backbone = compute_backbone(SatEngine(formula))
             queried = len(backbone.literals) - bin(root_true | root_false).count("1")
-            assert len(backbone.models) + queried == backbone.sat_calls
+            assert len(answers) == backbone.sat_calls
+            assert len(backbone.models) == sum(status is Status.SAT for _, status in answers)
+            assert queried == answers.count((1, Status.UNSAT))
             assert set(backbone.models) <= set(tt_model_masks(formula))
             for lit in backbone.literals:
                 assert all((mask >> abs(lit) & 1) == (lit > 0) for mask in backbone.models)
 
     def test_no_query_for_a_refuted_candidate(self, monkeypatch):
         # Each model found refutes every candidate it disagrees with, so no
-        # later query asks about one of those; some queries are saved.
+        # literal of a later query, a chunk query's included, asks about one
+        # of those; some queries are saved.
         made = []
         solve = SatEngine.solve
 
@@ -127,9 +171,11 @@ class TestComputeBackbone:
             formula = random_satisfiable_cnf(rng, num_vars, rng.uniform(1.5, 4.0))
             made.clear()
             backbone = compute_backbone(SatEngine(formula))
-            for i, ((query,), _) in enumerate(made[1:], start=1):
+            for i, (query, _) in enumerate(made[1:], start=1):
                 earlier = [model for _, model in made[:i] if model is not None]
-                assert not any((m >> abs(query) & 1) == (query > 0) for m in earlier)
+                assert not any(
+                    (m >> abs(lit) & 1) == (lit > 0) for m in earlier for lit in query
+                )
             saved += num_vars + 1 - backbone.sat_calls
         assert saved > 0
 

@@ -84,7 +84,16 @@ class TestAnalyze:
         path.write_text("c 1 v2\np cnf 2 1\n-1 -2 0\n", "utf-8")
         assert cli.main(["analyze", str(path)]) == cli.EXIT_INPUT_ERROR
         (line,) = capsys.readouterr().err.splitlines()
-        assert line == "error: name 'v2' of variable 1 is the fallback name of unnamed variable 2"
+        assert line == (
+            "error: line 1: name 'v2' of variable 1 is the fallback name of unnamed variable 2"
+        )
+
+    def test_repeated_name_is_input_error(self, tmp_path, capsys):
+        path = tmp_path / "repeated.cnf"
+        path.write_text("c 1 A\nc 2 A\np cnf 2 1\n1 0\n", "utf-8")
+        assert cli.main(["analyze", str(path)]) == cli.EXIT_INPUT_ERROR
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line == "error: line 2: name 'A' used for variables 1 and 2"
 
     def test_deep_constraint_is_input_error(self, tmp_path, capsys):
         path = tmp_path / "deep.fm"

@@ -181,6 +181,32 @@ class TestParseDimacs:
         with pytest.raises(DimacsError, match="duplicate name comment"):
             parse_dimacs("c 1 A\nc 1 B\np cnf 1 1\n1 0\n")
 
+    @pytest.mark.parametrize("text, message", [
+        ("c 1 A\nc 2 A\np cnf 2 1\n1 0\n", "line 2: name 'A' used for variables 1 and 2"),
+        ("p cnf 3 1\nc 3 X\n1 0\nc 1 X\n", "line 4: name 'X' used for variables 3 and 1"),
+    ], ids=["before-problem-line", "after-clauses"])
+    def test_repeated_name_carries_its_line(self, text, message):
+        with pytest.raises(DimacsError, match=f"^{message}$"):
+            parse_dimacs(text)
+
+    @pytest.mark.parametrize("text, message", [
+        ("c 1 v2\np cnf 2 1\n-1 -2 0\n",
+         "line 1: name 'v2' of variable 1 is the fallback name of unnamed variable 2"),
+        ("p cnf 3 1\nc 2 B\nc 3 v1\n1 0\n",
+         "line 3: name 'v1' of variable 3 is the fallback name of unnamed variable 1"),
+    ], ids=["before-problem-line", "after-problem-line"])
+    def test_fallback_name_carries_its_line(self, text, message):
+        with pytest.raises(DimacsError, match=f"^{message}$"):
+            parse_dimacs(text)
+
+    @pytest.mark.parametrize(
+        "names", ["c 1 v2\nc 2 v1", "c 1 v1", "c 1 v02", "c 1 v3", "c 1 v-2"],
+        ids=["swapped", "own", "leading-zero", "out-of-range", "negative"],
+    )
+    def test_fallback_shaped_name_comment_that_names_no_one_else(self, names):
+        formula = parse_dimacs(f"{names}\np cnf 2 1\n1 0\n")
+        assert len({formula.name_of(v) for v in formula.variables()}) == 2
+
     def test_dimacs_error_is_input_syntax_error(self):
         with pytest.raises(InputSyntaxError):
             parse_dimacs("")

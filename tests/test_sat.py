@@ -167,7 +167,73 @@ class TestSolve:
                 assert all((outcome.model >> abs(a) & 1) == (a > 0) for a in assumptions)
 
 
+def propagated(clauses, literals):
+    """The unit-propagation fixpoint of ``literals``, a set; None on a conflict."""
+    assigned = set(literals)
+    if any(-lit in assigned for lit in assigned):
+        return None
+    changed = True
+    while changed:
+        changed = False
+        for clause in clauses:
+            if not assigned.intersection(clause):
+                left = [lit for lit in clause if -lit not in assigned]
+                if not left:
+                    return None
+                if len(left) == 1:
+                    assigned.add(left[0])
+                    changed = True
+    return assigned
+
+
+def greedy_implied(formula, assumptions, candidates):
+    """implied_literals written naively: propagate the assumptions, then add
+    each candidate that is not already false and whose propagation does not
+    conflict."""
+    assigned = propagated(formula.clauses, assumptions)
+    if assigned is None:
+        return None
+    for lit in candidates:
+        extended = None if -lit in assigned else propagated(formula.clauses, assigned | {lit})
+        if extended is not None:
+            assigned = extended
+    return bits(*(l for l in assigned if l > 0)), bits(*(-l for l in assigned if l < 0))
+
+
 class TestImpliedLiterals:
+    def test_candidates_match_a_greedy_fixpoint(self):
+        # On one engine that learns nothing, every call, with candidates or
+        # without, gives exactly the naive propagator's masks; candidates
+        # may repeat, contradict each other or the assumptions.
+        rng = random.Random(2024)
+        kept_seen = dropped_seen = none_seen = 0
+        for _ in range(300):
+            num_vars = rng.randint(1, 12)
+            formula = random_cnf(rng, num_vars, rng.uniform(0.5, 4.5), width=rng.choice((2, 3)))
+            engine = SatEngine(formula)
+            literals = [lit for v in range(1, num_vars + 1) for lit in (v, -v)]
+            for _ in range(4):
+                assumptions = rng.choices(literals, k=rng.randint(0, 3))
+                candidates = rng.choices(literals, k=rng.randint(0, 8))
+                expected = greedy_implied(formula, assumptions, candidates)
+                assert engine.implied_literals(assumptions, candidates) == expected
+                if expected is None:
+                    none_seen += 1
+                    continue
+                base_true, base_false = engine.implied_literals(assumptions)
+                assert (base_true, base_false) == greedy_implied(formula, assumptions, ())
+                for lit in candidates:
+                    if not (base_true if lit < 0 else base_false) >> abs(lit) & 1:
+                        kept = expected[lit < 0] >> abs(lit) & 1
+                        kept_seen += kept
+                        dropped_seen += not kept
+        assert kept_seen > 1000 and dropped_seen > 500 and none_seen > 300
+
+    def test_candidate_out_of_range(self):
+        engine = SatEngine(CnfFormula(num_vars=2, clauses=((1, 2),)))
+        with pytest.raises(ValueError, match="candidate 3 out of range 1..2"):
+            engine.implied_literals((), (1, 3))
+
     def test_chain_above_the_root(self):
         # 4 is fixed at the root, so every call reports it.
         formula = CnfFormula(num_vars=4, clauses=((-1, 2), (-2, 3), (4,)))

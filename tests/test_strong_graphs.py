@@ -160,6 +160,33 @@ class TestExtractionRoutes:
             if v != g
         )
 
+    def test_unsat_chunk_falls_back_to_single_queries(self, monkeypatch):
+        # 6 is core, so propagation settles it and pays for a chunk. The
+        # first model sets every other variable false, and the chunk of
+        # candidates for false asks for 1, 2, 3 and 7 together (4 and 5
+        # each conflict under 1, 2 and 3). Propagation finds no conflict
+        # in it, but the four clauses over 4 and 5 exclude 1 & 2 & 3: the
+        # chunk is UNSAT, confirms nothing, and single queries settle
+        # what is left.
+        made = []
+        solve = SatEngine.solve
+
+        def recording(self, assumptions=()):
+            outcome = solve(self, assumptions)
+            made.append((tuple(assumptions), outcome.status))
+            return outcome
+
+        monkeypatch.setattr(SatEngine, "solve", recording)
+        excluded = tuple((-1, -2, -3, y, z) for y in (4, -4) for z in (5, -5))
+        formula = CnfFormula(num_vars=7, clauses=excluded + ((6,), (-7, 1)))
+        backbone = compute_backbone(SatEngine(formula))
+        assert made[1] == ((1, 2, 3, 7), Status.UNSAT)
+        assert [len(query) for query, _ in made[2:]] == [1] * (len(made) - 2)
+        assert backbone.literals == frozenset({6})
+        classification, relations = extract_strong_relations(formula)
+        assert (classification, relations) == tt_strong_relations(formula)
+        assert relations[7].depends_on == frozenset({1})
+
     @pytest.mark.parametrize("num_vars", [1, 6, 30])
     def test_one_engine_whatever_the_feature_count(self, monkeypatch, num_vars):
         # The base backbone and every pair of the model share one engine.
