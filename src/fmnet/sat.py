@@ -6,6 +6,13 @@ saving, and Luby restarts. Assumptions are handled the classic way, as
 forced decisions on the first levels of the search, so a learned clause is
 always implied by the formula alone and can be kept across calls.
 
+Most queries are satisfiable by a small change to the model before them,
+so a solve first tries that change: it repairs the last model returned to
+fit the assumptions by flipping, for each clause a change makes false, its
+first literal not yet fixed (the local search plus unit propagation of
+UnitWalk). A repair is a cheap first try and can only say SAT; when it
+fails, CDCL search decides, and every UNSAT answer comes from the search.
+
 Everything here is deterministic: same formula, same call sequence, same
 answer, including the returned model. Only the SAT/UNSAT status is part of
 the semantic contract; which model comes back is an implementation detail
@@ -23,7 +30,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from typing import Iterable, Iterator, Sequence
 
 from .cnf import CnfFormula, normalize_clause
@@ -83,6 +90,7 @@ class SatEngine:
         n = formula.num_vars
         self.num_vars = n
         self.num_solve_calls = 0
+        self.num_repairs = 0
         self._ok = not formula.trivially_unsat
         # Literal codes: positive v -> 2v, negative v -> 2v + 1.
         self._values = [_UNASSIGNED] * (n + 1)
@@ -93,6 +101,11 @@ class SatEngine:
         self._qhead = 0
         self._clauses: list[list[int]] = []
         self._watches: list[list[int]] = [[] for _ in range(2 * n + 2)]
+        # The stored clauses each literal code occurs in; learned ones are left
+        # out, since every model of the stored clauses satisfies them.
+        self._occurs: list[list[int]] = [[] for _ in range(2 * n + 2)]
+        # The values of the last model returned, the starting point of a repair.
+        self._model: bytearray | None = None
         self._activity = [0.0] * (n + 1)
         self._activity_inc = 1.0
         self._saved_phase = [False] * (n + 1)
@@ -108,6 +121,9 @@ class SatEngine:
         if normalized is None:  # tautology
             return
         codes = self._codes(normalized, "literal")
+        model = self._model
+        if model is not None and all(model[c >> 1] ^ (c & 1) != _TRUE for c in codes):
+            self._model = None  # the new clause blocks it
         if not self._at_root():
             return
         lits = []
@@ -123,7 +139,9 @@ class SatEngine:
             self._assign(lits[0], -1)
             self._at_root()
         else:
-            self._attach(lits)
+            cid = self._attach(lits)
+            for code in lits:
+                self._occurs[code].append(cid)
 
     def implied_literals(
         self, assumptions: Sequence[int], candidates: Sequence[int] = ()
@@ -158,12 +176,78 @@ class SatEngine:
         return masks[0], masks[1]
 
     def solve(self, assumptions: Sequence[int] = ()) -> SatOutcome:
-        """Decide satisfiability of the clauses under the given assumptions."""
+        """Decide satisfiability of the clauses under the given assumptions.
+
+        A cheap first try repairs the last model returned to fit the
+        assumptions (see ``_repair``). When that fails, CDCL search decides.
+        A repair can only find a model, so every UNSAT answer comes from the
+        search.
+        """
         self.num_solve_calls += 1
         codes = self._codes(assumptions, "assumption")
         if not self._at_root():
             return SatOutcome(Status.UNSAT)
+        model = self._repair(codes)
+        if model is not None:
+            self.num_repairs += 1
+        elif self._search(codes):
+            model = bytearray(self._values)
+        else:
+            return SatOutcome(Status.UNSAT)
+        self._model = model
+        # Entry 0 is never assigned, so bit 0 comes out clear.
+        return SatOutcome(Status.SAT, int(model[::-1].translate(_MODEL_DIGITS), 2))
 
+    # ---- internals ----
+
+    def _repair(self, codes: list[int]) -> bytearray | None:
+        """The last model changed to satisfy the assumptions; None when that fails.
+
+        The root-fixed variables and the assumptions are fixed. Each stored
+        clause that a change makes false gets its first unfixed literal
+        flipped, which fixes that variable as well, so no variable changes
+        twice. The walk fails on a false clause with only fixed literals.
+        The last model satisfies every clause and every root-fixed literal
+        (``add_clause`` drops a model the new clause blocks), so a clause
+        the walk never visits still holds; learned clauses need no visit,
+        being implied by the rest. So a returned model satisfies every
+        clause.
+        (UnitWalk's repair step: Hirsch & Kojevnikov, Annals of Mathematics
+        and Artificial Intelligence 43, 2005.)
+        """
+        if self._model is None:
+            return None
+        model = self._model[:]
+        fixed = bytearray(self._values)  # _UNASSIGNED marks a variable still free
+        falsified = []
+        for code in codes:
+            var = code >> 1
+            if model[var] ^ (code & 1) != _TRUE:
+                if fixed[var] != _UNASSIGNED:
+                    return None
+                model[var] ^= 1
+                falsified.append(code ^ 1)
+            fixed[var] = _TRUE
+        clauses, occurs = self._clauses, self._occurs
+        while falsified:
+            for cid in occurs[falsified.pop()]:
+                flip = -1
+                for code in clauses[cid]:
+                    if model[code >> 1] ^ (code & 1) == _TRUE:
+                        break
+                    if flip < 0 and fixed[code >> 1] == _UNASSIGNED:
+                        flip = code
+                else:
+                    if flip < 0:
+                        return None
+                    model[flip >> 1] ^= 1
+                    fixed[flip >> 1] = _TRUE
+                    falsified.append(flip ^ 1)
+        return model
+
+    def _search(self, codes: list[int]) -> bool:
+        """CDCL search from the root under the assumptions ``codes``; True
+        when it ends with every variable assigned, False on UNSAT."""
         conflicts = 0
         restarts = 0
         restart_limit = _RESTART_BASE * _luby(1)
@@ -173,7 +257,7 @@ class SatEngine:
                 conflicts += 1
                 if not self._trail_lim:  # conflict at root level
                     self._ok = False
-                    return SatOutcome(Status.UNSAT)
+                    return False
                 learnt, backjump = self._analyze(conflict)
                 self._cancel_until(backjump)
                 self._assign(learnt[0], self._attach(learnt) if len(learnt) > 1 else -1)
@@ -191,14 +275,10 @@ class SatEngine:
             else:
                 var = self._pick_var()
                 if var is None:
-                    # Entry 0 is never assigned, so bit 0 comes out clear.
-                    digits = bytes(reversed(self._values)).translate(_MODEL_DIGITS)
-                    return SatOutcome(Status.SAT, int(digits, 2))
+                    return True
                 code = (var << 1) | (not self._saved_phase[var])
             if not self._decide(code):
-                return SatOutcome(Status.UNSAT)
-
-    # ---- internals ----
+                return False
 
     def _codes(self, literals: Iterable[int], kind: str) -> list[int]:
         """Literal codes (positive v -> 2v, negative v -> 2v + 1), range-checked."""
@@ -251,6 +331,8 @@ class SatEngine:
             phases[var] = values[var] == _TRUE
             values[var] = _UNASSIGNED
             heappush(heap, (-activity[var], var))
+        if len(heap) > 2 * len(values):  # mostly stale entries: compact
+            self._rebuild_heap()
         del self._trail[bound:]
         del self._trail_lim[level:]
         self._qhead = min(self._qhead, len(self._trail))
@@ -258,7 +340,8 @@ class SatEngine:
     def _pick_var(self) -> int | None:
         """Highest-activity unassigned variable; None once all are set. Stale
         entries are skipped: every unassigned variable has a live one, since
-        only assigned ones are bumped and ``_cancel_until`` pushes each it frees."""
+        only assigned ones are bumped, ``_cancel_until`` pushes each it frees
+        and a rebuild gives each unassigned one an entry."""
         values, activity, heap = self._values, self._activity, self._heap
         while heap:
             act, var = heappop(heap)
@@ -364,10 +447,14 @@ class SatEngine:
             for v in range(1, self.num_vars + 1):
                 self._activity[v] *= scale
             self._activity_inc *= scale
-            self._heap = [(-self._activity[v], v)
-                          for v in range(1, self.num_vars + 1)
-                          if self._values[v] == _UNASSIGNED]
-            self._heap.sort()
+            self._rebuild_heap()
+
+    def _rebuild_heap(self) -> None:
+        """One entry per unassigned variable, at its current activity."""
+        values, activity = self._values, self._activity
+        self._heap = [(-activity[v], v) for v in range(1, self.num_vars + 1)
+                      if values[v] == _UNASSIGNED]
+        heapify(self._heap)
 
 
 def enumerate_models(formula: CnfFormula, var_limit: int = 25) -> Iterator[int]:

@@ -1,5 +1,8 @@
+import importlib.util
 import itertools
+import pathlib
 import random
+import sys
 
 import pytest
 
@@ -11,8 +14,10 @@ from conftest import (
     variable_column,
 )
 import fmnet.sat as sat
+import fmnet.strong_graphs as strong_graphs
 from fmnet.cnf import CnfFormula
 from fmnet.errors import EnumerationLimitError
+from fmnet.feature_model import parse_fm_to_cnf
 from fmnet.sat import SatEngine, SatOutcome, Status, enumerate_models
 
 
@@ -342,6 +347,100 @@ class TestImpliedLiterals:
                         assert implied[a < 0] >> abs(a) & 1, assumptions
 
 
+class TestRepair:
+    """``solve`` first repairs the last model it returned; the search
+    decides only when the repair fails."""
+
+    def test_random_queries_against_truth_table(self):
+        # One engine per formula answers a run of assumption queries: the
+        # status is the truth table's, and every model satisfies every
+        # clause and every assumption, whichever route found it.
+        rng = random.Random(1505)
+        repaired = searched = 0
+        for _ in range(150):
+            num_vars = rng.randint(2, 14)
+            formula = random_cnf(rng, num_vars, rng.uniform(1.0, 4.5), width=rng.choice((2, 3)))
+            engine = SatEngine(formula)
+            for _ in range(8):
+                picked = rng.choices(range(1, num_vars + 1), k=rng.randint(0, 4))
+                assumptions = tuple(v if rng.random() < 0.5 else -v for v in picked)
+                rows = conditioned(formula, assumptions)
+                repairs = engine.num_repairs
+                outcome = engine.solve(assumptions)
+                assert (outcome.status is Status.SAT) == (rows != 0), assumptions
+                if rows:
+                    assert outcome.model & 1 == 0
+                    assert outcome.model >> (num_vars + 1) == 0
+                    assert satisfies(outcome.model, formula)
+                    assert all((outcome.model >> abs(a) & 1) == (a > 0) for a in assumptions)
+                    repaired += engine.num_repairs - repairs
+                    searched += engine.num_repairs == repairs
+                else:
+                    assert engine.num_repairs == repairs
+        assert repaired > 200 and searched > 100
+
+    def test_all_fixed_false_clause_falls_back(self):
+        # From the all-false model, assuming 1 and 4 makes (-1, 2, 3) false;
+        # the repair flips 2, its first free literal, which makes (-2, -4)
+        # false with both variables fixed. The search then finds 3 instead.
+        formula = CnfFormula(num_vars=4, clauses=((-1, 2, 3), (-2, -4)))
+        engine = SatEngine(formula)
+        assert engine.solve((-1, -2, -3, -4)).model == 0
+        repairs = engine.num_repairs
+        outcome = engine.solve((1, 4))
+        assert engine.num_repairs == repairs
+        assert outcome.status is Status.SAT
+        assert outcome.model == bits(1, 3, 4)
+        # A false clause over assumptions alone falls back to an UNSAT search.
+        assert engine.solve((2, 4)).status is Status.UNSAT
+        assert engine.num_repairs == repairs
+        # The search's model is the next starting point.
+        outcome = engine.solve((1,))
+        assert engine.num_repairs == repairs + 1
+        assert outcome.model == bits(1, 3, 4)
+
+    def test_blocked_model_is_not_repaired(self):
+        # A clause added after a solve that the returned model falsifies
+        # retires that model, so the next answer differs from it.
+        formula = CnfFormula(num_vars=3, clauses=((1, 2), (-2, 3)))
+        engine = SatEngine(formula)
+        first = engine.solve().model
+        engine.add_clause([-v if first >> v & 1 else v for v in (1, 2, 3)])
+        second = engine.solve().model
+        assert second is not None and second != first
+        assert satisfies(second, formula)
+        # A clause the model satisfies keeps it as the starting point.
+        repairs = engine.num_repairs
+        engine.add_clause([v if second >> v & 1 else -v for v in (1, 2)])
+        assert engine.solve().model == second
+        assert engine.num_repairs == repairs + 1
+
+    def test_decision_heap_stays_bounded(self, monkeypatch):
+        # Each return to the root puts every freed variable on the lazy
+        # decision heap, and only the search takes entries off it, so a
+        # run of repaired answers must not let stale entries pile up.
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_gen", pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "gen.py"
+        )
+        gen = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, gen)  # dataclasses look it up
+        spec.loader.exec_module(gen)
+        formula = parse_fm_to_cnf(gen.kconfig_model(1000, 0.15, random.Random("heap:1000")))
+        engines = []
+
+        class Recorded(SatEngine):
+            def __init__(self, formula):
+                super().__init__(formula)
+                engines.append(self)
+
+        monkeypatch.setattr(strong_graphs, "SatEngine", Recorded)
+        strong_graphs.extract_strong_relations(formula)
+        (engine,) = engines
+        assert engine.num_repairs > 100
+        entries = len(engine._heap)
+        assert entries <= 3 * (engine.num_vars + 1), entries
+
+
 class TestRarelyReachedPaths:
     """Luby restarts and the activity rescale, which the other tests and
     the benchmark workloads never reach, forced by lowering their thresholds."""
@@ -360,13 +459,16 @@ class TestRarelyReachedPaths:
                 picked = rng.sample(range(1, num_vars + 1), rng.randint(0, 3))
                 assumptions = tuple(v if rng.random() < 0.5 else -v for v in picked)
                 rows = conditioned(formula, assumptions)
+                repairs = engine.num_repairs
                 outcome = engine.solve(assumptions)
                 assert (outcome.status is Status.SAT) == (rows != 0), assumptions
                 if rows:
                     assert satisfies(outcome.model, formula)
                     assert all((outcome.model >> abs(a) & 1) == (a > 0) for a in assumptions)
-                    # The decision heap ran empty only once every variable was set.
-                    assert sat._UNASSIGNED not in engine._values[1:]
+                    if engine.num_repairs == repairs:
+                        # The search's decision heap ran empty only once
+                        # every variable was set.
+                        assert sat._UNASSIGNED not in engine._values[1:]
         return engines
 
     def test_restarts(self, monkeypatch):
