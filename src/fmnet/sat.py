@@ -7,11 +7,13 @@ forced decisions on the first levels of the search, so a learned clause is
 always implied by the formula alone and can be kept across calls.
 
 Most queries are satisfiable by a small change to the model before them,
-so a solve first tries that change: it repairs the last model returned to
+so a solve first tries that change: it walks the last model returned to
 fit the assumptions by flipping, for each clause a change makes false, its
 first literal not yet fixed (the local search plus unit propagation of
-UnitWalk). A repair is a cheap first try and can only say SAT; when it
+UnitWalk). A walk is a cheap first try and can only say SAT; when it
 fails, CDCL search decides, and every UNSAT answer comes from the search.
+Soft literals take the same walk, one at a time, and are kept when it
+succeeds: they shape the model, never the answer.
 
 Everything here is deterministic: same formula, same call sequence, same
 answer, including the returned model. Only the SAT/UNSAT status is part of
@@ -21,9 +23,8 @@ that tests must not rely on beyond "it satisfies the formula".
 A model leaves this module as one integer, the bitmask of the variables it
 sets true (bit v for variable v, bit 0 clear). What unit propagation
 derives from the formula and the assumptions leaves it as masks too, one of
-the variables set true and one of those set false; given candidate
-literals, propagation also takes in, one at a time, each candidate that
-does not lead to a conflict. No other module decodes either.
+the variables set true and one of those set false. No other module decodes
+either.
 """
 
 from __future__ import annotations
@@ -104,7 +105,7 @@ class SatEngine:
         # The stored clauses each literal code occurs in; learned ones are left
         # out, since every model of the stored clauses satisfies them.
         self._occurs: list[list[int]] = [[] for _ in range(2 * n + 2)]
-        # The values of the last model returned, the starting point of a repair.
+        # The values of the last model returned, which the next walk changes in place.
         self._model: bytearray | None = None
         self._activity = [0.0] * (n + 1)
         self._activity_inc = 1.0
@@ -143,93 +144,87 @@ class SatEngine:
             for code in lits:
                 self._occurs[code].append(cid)
 
-    def implied_literals(
-        self, assumptions: Sequence[int], candidates: Sequence[int] = ()
-    ) -> tuple[int, int] | None:
+    def implied_literals(self, assumptions: Sequence[int]) -> tuple[int, int] | None:
         """What unit propagation alone derives from the formula and the assumptions.
 
         Returns ``(true_mask, false_mask)``, every variable set true and set
         false (bit v for variable v): those fixed at the root, the
         assumptions, and what they propagate. None when propagation runs
         into a conflict. Nothing is learned.
-
-        Each of the ``candidates`` is then added in turn, greedily: it is
-        skipped when already false and dropped again when its propagation
-        conflicts, and otherwise kept with what it propagates. The kept
-        candidates are exactly the candidates true in the masks, since what
-        propagation derives only grows with what it starts from.
         """
         codes = self._codes(assumptions, "assumption")
-        extra = self._codes(candidates, "candidate")
         if not self._at_root():
             return None
         for code in codes:
             if not self._decide(code) or self._propagate() is not None:
                 return None
-        for code in extra:
-            level = len(self._trail_lim)
-            if self._decide(code) and self._propagate() is not None:
-                self._cancel_until(level)
         masks = [0, 0]
         for code in self._trail:
             masks[code & 1] |= 1 << (code >> 1)
         return masks[0], masks[1]
 
-    def solve(self, assumptions: Sequence[int] = ()) -> SatOutcome:
+    def solve(self, assumptions: Sequence[int] = (), soft: Sequence[int] = ()) -> SatOutcome:
         """Decide satisfiability of the clauses under the given assumptions.
 
-        A cheap first try repairs the last model returned to fit the
-        assumptions (see ``_repair``). When that fails, CDCL search decides.
-        A repair can only find a model, so every UNSAT answer comes from the
-        search.
+        A cheap first try walks the last model returned to fit the
+        assumptions (see ``_walk``). When that fails, CDCL search decides.
+        A walk can only find a model, so every UNSAT answer comes from the
+        search. The model of a SAT answer then walks to each ``soft``
+        literal in turn, keeping those whose walk succeeds.
         """
         self.num_solve_calls += 1
         codes = self._codes(assumptions, "assumption")
+        soft_codes = self._codes(soft, "soft literal")
         if not self._at_root():
             return SatOutcome(Status.UNSAT)
-        model = self._repair(codes)
-        if model is not None:
+        fixed = bytearray(self._values)  # _UNASSIGNED marks a variable still free
+        model = self._model
+        if model is not None and self._walk(model, fixed, codes):
             self.num_repairs += 1
         elif self._search(codes):
-            model = bytearray(self._values)
+            model = self._model = bytearray(self._values)
+            self._walk(model, fixed, codes)  # fixes the assumptions, flips nothing
         else:
             return SatOutcome(Status.UNSAT)
-        self._model = model
+        for code in soft_codes:
+            self._walk(model, fixed, [code])
         # Entry 0 is never assigned, so bit 0 comes out clear.
         return SatOutcome(Status.SAT, int(model[::-1].translate(_MODEL_DIGITS), 2))
 
     # ---- internals ----
 
-    def _repair(self, codes: list[int]) -> bytearray | None:
-        """The last model changed to satisfy the assumptions; None when that fails.
+    def _walk(self, model: bytearray, fixed: bytearray, codes: list[int]) -> bool:
+        """Change ``model`` in place to satisfy the literals ``codes`` and fix them.
 
-        The root-fixed variables and the assumptions are fixed. Each stored
-        clause that a change makes false gets its first unfixed literal
-        flipped, which fixes that variable as well, so no variable changes
-        twice. The walk fails on a false clause with only fixed literals.
-        The last model satisfies every clause and every root-fixed literal
-        (``add_clause`` drops a model the new clause blocks), so a clause
-        the walk never visits still holds; learned clauses need no visit,
-        being implied by the rest. So a returned model satisfies every
-        clause.
+        ``fixed`` holds ``_UNASSIGNED`` for a free variable and a fixed
+        one's value before the walk fixed it. Each stored clause that a
+        change makes false gets its first free literal flipped, which fixes
+        that variable as well, so no variable changes twice. The walk fails
+        on a false literal or clause with only fixed variables, and then
+        undoes its own flips and fixes. The starting model satisfies every
+        clause and fixed literal (``add_clause`` drops a model the new
+        clause blocks), so a clause the walk never visits still holds;
+        learned clauses need no visit, being implied by the rest. So a walk
+        that succeeds leaves a model of every clause and fixed literal.
         (UnitWalk's repair step: Hirsch & Kojevnikov, Annals of Mathematics
         and Artificial Intelligence 43, 2005.)
         """
-        if self._model is None:
-            return None
-        model = self._model[:]
-        fixed = bytearray(self._values)  # _UNASSIGNED marks a variable still free
+        journal = []  # the variables this walk fixed
         falsified = []
+        ok = True
         for code in codes:
             var = code >> 1
-            if model[var] ^ (code & 1) != _TRUE:
-                if fixed[var] != _UNASSIGNED:
-                    return None
-                model[var] ^= 1
-                falsified.append(code ^ 1)
-            fixed[var] = _TRUE
+            if fixed[var] == _UNASSIGNED:
+                fixed[var] = model[var]
+                journal.append(var)
+                if model[var] ^ (code & 1) != _TRUE:
+                    model[var] ^= 1
+                    falsified.append(code ^ 1)
+            elif model[var] ^ (code & 1) != _TRUE:
+                ok = False
+                break
         clauses, occurs = self._clauses, self._occurs
-        while falsified:
+        while ok and falsified:
             for cid in occurs[falsified.pop()]:
                 flip = -1
                 for code in clauses[cid]:
@@ -239,11 +234,18 @@ class SatEngine:
                         flip = code
                 else:
                     if flip < 0:
-                        return None
-                    model[flip >> 1] ^= 1
-                    fixed[flip >> 1] = _TRUE
+                        ok = False
+                        break
+                    var = flip >> 1
+                    fixed[var] = model[var]
+                    model[var] ^= 1
+                    journal.append(var)
                     falsified.append(flip ^ 1)
-        return model
+        if not ok:
+            for var in journal:
+                model[var] = fixed[var]
+                fixed[var] = _UNASSIGNED
+        return ok
 
     def _search(self, codes: list[int]) -> bool:
         """CDCL search from the root under the assumptions ``codes``; True

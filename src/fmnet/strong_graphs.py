@@ -13,17 +13,17 @@ selecting nothing, or selecting v, force? ``_forced`` answers it on one
 incremental solver per model, each candidate by the cheapest route that
 works. Unit propagation from the formula and the assumptions confirms every
 candidate it derives, the literals the formula fixes at the root included,
-without a query. Every model the solver returns is a witness: it refutes the
-candidates it disagrees with, for the feature at hand and, through the
-caller's ``witness``, for every feature it selects. A chunk query asks for
-many candidates negated at once, as many as propagation admits; when it is
-satisfiable, its model refutes them all, and when it is not, it proves
-nothing. Only what is left gets a query of its own, the assumptions plus
-the candidate negated, which is unsatisfiable exactly when the candidate
-is forced. The backbone's models are replayed as witnesses before the
-per-feature search. Chunking follows Janota, Lynce & Marques-Silva,
+without a query. Every model the solver returns is a witness: it refutes
+the candidates it disagrees with, for the feature at hand and, through the
+caller's ``witness``, for every feature it selects. A chunk query passes
+the open candidates of one kind, negated, as soft literals: its model keeps
+as many as the solver's walk can add and refutes them all, and it is never
+unsatisfiable. Only what is left gets a query of its own, the assumptions
+plus the candidate negated, which is unsatisfiable exactly when the
+candidate is forced. The backbone's models are replayed as witnesses before
+the per-feature search. Chunking follows Janota, Lynce & Marques-Silva,
 "Algorithms for computing backbones of propositional formulae" (AI
-Communications 28(2), 2015), with assumptions in place of selector
+Communications 28(2), 2015), with soft literals in place of selector
 variables.
 """
 
@@ -135,12 +135,12 @@ def _forced(
     ``witness``.
 
     Before the single queries, one query may refute a chunk of candidates
-    of one kind: the assumptions plus every open candidate negated that
-    propagation can add without a conflict. A chunk is tried only while the
-    candidates settled without a query of their own outnumber the chunks
-    tried, so the solves never outnumber the candidates. A kind stops when
-    its chunk would keep two literals or fewer, or is unsatisfiable; that
-    answer confirms nothing, and the single queries settle what is left.
+    of one kind: the assumptions, with every open candidate of that kind
+    negated as a soft literal. A chunk is tried only while the candidates
+    settled without a query of their own outnumber the chunks tried, so the
+    solves never outnumber the candidates. A kind stops when two candidates
+    or fewer are open or a chunk refutes nothing; the single queries settle
+    what is left.
     """
     forced_true = forced_false = 0
     if true_open | false_open:
@@ -153,24 +153,20 @@ def _forced(
     for sign in (-1, 1):
         while saved > spent:
             candidates = true_open if sign < 0 else false_open
-            if candidates.bit_count() <= 2:  # a chunk keeps no more than these
-                break
-            # A chunk literal was kept exactly when it is true on the trail:
-            # -g in the false mask, g in the true mask.
-            kept = candidates & engine.implied_literals(
-                assumptions, [sign * g for g in _members(candidates)]
-            )[sign < 0]
-            if kept.bit_count() <= 2:
+            if candidates.bit_count() <= 2:
                 break
             spent += 1
-            outcome = engine.solve((*assumptions, *(sign * g for g in _members(kept))))
-            if outcome.status is Status.UNSAT:
-                break
-            witness(outcome.model)
+            # SAT, since the assumptions are satisfiable and soft literals
+            # never make an answer UNSAT.
+            model = engine.solve(assumptions, [sign * g for g in _members(candidates)]).model
+            witness(model)
             open_before = true_open | false_open
-            true_open &= outcome.model
-            false_open &= ~outcome.model
-            saved += (open_before ^ (true_open | false_open)).bit_count()
+            true_open &= model
+            false_open &= ~model
+            refuted = (open_before ^ (true_open | false_open)).bit_count()
+            if not refuted:
+                break
+            saved += refuted
     for g in (*_members(true_open), *_members(false_open)):
         bit = 1 << g
         if true_open & bit:

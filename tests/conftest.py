@@ -11,13 +11,29 @@ Row convention: row ``r`` assigns variable ``v`` true iff ``r >> (v-1) & 1``.
 from __future__ import annotations
 
 import dataclasses
+import importlib.util
+import pathlib
 import random
+import sys
 
 import pytest
 
 from fmnet.cnf import CnfFormula
 from fmnet.fixtures import coreboot_graphics_formula
 from fmnet.strong_graphs import FeatureClassification, StrongRelations
+
+
+def perfbench_gen():
+    """``perfbench/gen.py``, the benchmark's seeded model generators, as a module."""
+    path = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    gen = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = gen  # dataclasses look it up while the module runs
+    try:
+        spec.loader.exec_module(gen)
+    finally:
+        del sys.modules[spec.name]
+    return gen
 
 
 def variable_column(num_vars: int, var: int) -> int:

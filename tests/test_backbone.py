@@ -83,15 +83,15 @@ class TestComputeBackbone:
 
     def test_chunks_keep_the_call_budget(self, monkeypatch):
         # Unit clauses settle candidates by propagation, which pays for
-        # chunk queries (several candidates at once). Without a unit clause
-        # nothing pays for one. However the chunks answer, the budget above
-        # holds.
+        # chunk queries (several candidates at once, as soft literals).
+        # Without a unit clause nothing pays for one. The budget above
+        # holds, and soft literals never make a chunk UNSAT.
         chunks = {Status.SAT: 0, Status.UNSAT: 0}
         solve = SatEngine.solve
 
-        def recording(self, assumptions=()):
-            outcome = solve(self, assumptions)
-            if len(assumptions) > 1:
+        def recording(self, assumptions=(), soft=()):
+            outcome = solve(self, assumptions, soft)
+            if soft:
                 chunks[outcome.status] += 1
             return outcome
 
@@ -109,7 +109,7 @@ class TestComputeBackbone:
             backbone = compute_backbone(SatEngine(formula))
             assert backbone.literals == tt_backbone_literals(formula)
             assert backbone.sat_calls <= num_vars + 1
-        assert chunks[Status.SAT] > 100 and chunks[Status.UNSAT] > 0
+        assert chunks[Status.SAT] > 100 and chunks[Status.UNSAT] == 0
 
     def test_counts_only_its_own_solves(self):
         engine = SatEngine(CnfFormula(num_vars=3, clauses=((1,), (-1, 2))))
@@ -124,12 +124,12 @@ class TestComputeBackbone:
         # answer. Each backbone literal takes one single-literal UNSAT
         # answer, except those fixed at the root once the first model is
         # found: propagation confirms them without a solve. A chunk query
-        # (several literals) that is UNSAT confirms nothing.
+        # (soft literals) is never UNSAT.
         answers = []
         solve = SatEngine.solve
 
-        def recording(self, assumptions=()):
-            outcome = solve(self, assumptions)
+        def recording(self, assumptions=(), soft=()):
+            outcome = solve(self, assumptions, soft)
             answers.append((len(assumptions), outcome.status))
             return outcome
 
@@ -153,14 +153,14 @@ class TestComputeBackbone:
 
     def test_no_query_for_a_refuted_candidate(self, monkeypatch):
         # Each model found refutes every candidate it disagrees with, so no
-        # literal of a later query, a chunk query's included, asks about one
-        # of those; some queries are saved.
+        # literal of a later query, a chunk query's soft literals included,
+        # asks about one of those; some queries are saved.
         made = []
         solve = SatEngine.solve
 
-        def recording(self, assumptions=()):
-            outcome = solve(self, assumptions)
-            made.append((tuple(assumptions), outcome.model))
+        def recording(self, assumptions=(), soft=()):
+            outcome = solve(self, assumptions, soft)
+            made.append(((*assumptions, *soft), outcome.model))
             return outcome
 
         monkeypatch.setattr(SatEngine, "solve", recording)
@@ -185,9 +185,9 @@ class TestComputeBackbone:
         queried = []
         solve = SatEngine.solve
 
-        def recording(self, assumptions=()):
-            queried.extend(abs(lit) for lit in assumptions)
-            return solve(self, assumptions)
+        def recording(self, assumptions=(), soft=()):
+            queried.extend(abs(lit) for lit in (*assumptions, *soft))
+            return solve(self, assumptions, soft)
 
         monkeypatch.setattr(SatEngine, "solve", recording)
         rng = random.Random(808)

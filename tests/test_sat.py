@@ -1,12 +1,10 @@
-import importlib.util
 import itertools
-import pathlib
 import random
-import sys
 
 import pytest
 
 from conftest import (
+    perfbench_gen,
     random_cnf,
     truth_table_mask,
     tt_model_count,
@@ -172,73 +170,7 @@ class TestSolve:
                 assert all((outcome.model >> abs(a) & 1) == (a > 0) for a in assumptions)
 
 
-def propagated(clauses, literals):
-    """The unit-propagation fixpoint of ``literals``, a set; None on a conflict."""
-    assigned = set(literals)
-    if any(-lit in assigned for lit in assigned):
-        return None
-    changed = True
-    while changed:
-        changed = False
-        for clause in clauses:
-            if not assigned.intersection(clause):
-                left = [lit for lit in clause if -lit not in assigned]
-                if not left:
-                    return None
-                if len(left) == 1:
-                    assigned.add(left[0])
-                    changed = True
-    return assigned
-
-
-def greedy_implied(formula, assumptions, candidates):
-    """implied_literals written naively: propagate the assumptions, then add
-    each candidate that is not already false and whose propagation does not
-    conflict."""
-    assigned = propagated(formula.clauses, assumptions)
-    if assigned is None:
-        return None
-    for lit in candidates:
-        extended = None if -lit in assigned else propagated(formula.clauses, assigned | {lit})
-        if extended is not None:
-            assigned = extended
-    return bits(*(l for l in assigned if l > 0)), bits(*(-l for l in assigned if l < 0))
-
-
 class TestImpliedLiterals:
-    def test_candidates_match_a_greedy_fixpoint(self):
-        # On one engine that learns nothing, every call, with candidates or
-        # without, gives exactly the naive propagator's masks; candidates
-        # may repeat, contradict each other or the assumptions.
-        rng = random.Random(2024)
-        kept_seen = dropped_seen = none_seen = 0
-        for _ in range(300):
-            num_vars = rng.randint(1, 12)
-            formula = random_cnf(rng, num_vars, rng.uniform(0.5, 4.5), width=rng.choice((2, 3)))
-            engine = SatEngine(formula)
-            literals = [lit for v in range(1, num_vars + 1) for lit in (v, -v)]
-            for _ in range(4):
-                assumptions = rng.choices(literals, k=rng.randint(0, 3))
-                candidates = rng.choices(literals, k=rng.randint(0, 8))
-                expected = greedy_implied(formula, assumptions, candidates)
-                assert engine.implied_literals(assumptions, candidates) == expected
-                if expected is None:
-                    none_seen += 1
-                    continue
-                base_true, base_false = engine.implied_literals(assumptions)
-                assert (base_true, base_false) == greedy_implied(formula, assumptions, ())
-                for lit in candidates:
-                    if not (base_true if lit < 0 else base_false) >> abs(lit) & 1:
-                        kept = expected[lit < 0] >> abs(lit) & 1
-                        kept_seen += kept
-                        dropped_seen += not kept
-        assert kept_seen > 1000 and dropped_seen > 500 and none_seen > 300
-
-    def test_candidate_out_of_range(self):
-        engine = SatEngine(CnfFormula(num_vars=2, clauses=((1, 2),)))
-        with pytest.raises(ValueError, match="candidate 3 out of range 1..2"):
-            engine.implied_literals((), (1, 3))
-
     def test_chain_above_the_root(self):
         # 4 is fixed at the root, so every call reports it.
         formula = CnfFormula(num_vars=4, clauses=((-1, 2), (-2, 3), (4,)))
@@ -347,9 +279,91 @@ class TestImpliedLiterals:
                         assert implied[a < 0] >> abs(a) & 1, assumptions
 
 
+def true_in(model, lit):
+    return (model >> abs(lit) & 1) == (lit > 0)
+
+
+def walked(clauses, model, fixed, lit):
+    """One soft literal of ``solve`` walked naively, on copies: ``lit`` is
+    made true and fixed, and each clause a change makes false, visited in
+    the engine's order (last change first, clauses by index), gets its
+    first free literal flipped and fixed. Returns the new model and fixed
+    set, or None when a false clause has no free literal."""
+    var = abs(lit)
+    if var in fixed:
+        return (model, fixed) if true_in(model, lit) else None
+    fixed = fixed | {var}
+    if true_in(model, lit):
+        return model, fixed
+    model ^= 1 << var
+    made_false = [-lit]
+    while made_false:
+        false_lit = made_false.pop()
+        for clause in clauses:
+            if false_lit in clause and not any(true_in(model, l) for l in clause):
+                free = [l for l in clause if abs(l) not in fixed]
+                if not free:
+                    return None
+                model ^= 1 << abs(free[0])
+                fixed = fixed | {abs(free[0])}
+                made_false.append(-free[0])
+    return model, fixed
+
+
 class TestRepair:
-    """``solve`` first repairs the last model it returned; the search
-    decides only when the repair fails."""
+    """``solve`` first walks the last model it returned to the assumptions;
+    the search decides only when that walk fails. Soft literals take the
+    same walk, one at a time, and are kept when it succeeds."""
+
+    def test_soft_literals_against_truth_table_and_a_naive_walk(self):
+        # One engine per formula answers a run of queries with assumptions
+        # and soft literals, which may repeat or contradict each other and
+        # the assumptions. The status is the truth table's whatever the soft
+        # literals, and every model satisfies every clause and assumption.
+        # After solve(A) has returned model M, solve(A, soft) walks no
+        # assumption, so its model is the naive walk's from M over the
+        # engine's stored clauses, in their current literal order.
+        rng = random.Random(1906)
+        kept = dropped = unsat = 0
+        for _ in range(150):
+            num_vars = rng.randint(2, 12)
+            formula = random_cnf(rng, num_vars, rng.uniform(1.0, 4.5), width=rng.choice((2, 3)))
+            engine = SatEngine(formula)
+            stored = len(engine._clauses)
+            literals = [lit for v in range(1, num_vars + 1) for lit in (v, -v)]
+            for _ in range(6):
+                assumptions = tuple(rng.choices(literals, k=rng.randint(0, 3)))
+                soft = tuple(rng.choices(literals, k=rng.randint(0, 8)))
+                rows = conditioned(formula, assumptions)
+                outcome = engine.solve(assumptions, soft)
+                assert (outcome.status is Status.SAT) == (rows != 0), (assumptions, soft)
+                if not rows:
+                    unsat += 1
+                    continue
+                assert satisfies(outcome.model, formula)
+                assert all(true_in(outcome.model, a) for a in assumptions)
+                model = engine.solve(assumptions).model
+                root_true, root_false = engine.implied_literals(())
+                fixed = {v for v in range(1, num_vars + 1) if (root_true | root_false) >> v & 1}
+                fixed |= {abs(a) for a in assumptions}
+                clauses = [[c >> 1 if c & 1 == 0 else -(c >> 1) for c in clause]
+                           for clause in engine._clauses[:stored]]
+                for lit in soft:
+                    step = walked(clauses, model, fixed, lit)
+                    if step is None:
+                        dropped += 1
+                    else:
+                        kept += 1
+                        model, fixed = step
+                assert engine.solve(assumptions, soft).model == model, (assumptions, soft)
+        assert kept > 1000 and dropped > 300 and unsat > 100
+
+    def test_soft_literal_out_of_range(self):
+        engine = SatEngine(CnfFormula(num_vars=2, clauses=((1, 2),)))
+        with pytest.raises(ValueError, match="soft literal 3 out of range 1..2"):
+            engine.solve((), (1, 3))
+        with pytest.raises(ValueError, match="soft literal 0 out of range 1..2"):
+            engine.solve((), (0,))
 
     def test_random_queries_against_truth_table(self):
         # One engine per formula answers a run of assumption queries: the
@@ -419,12 +433,7 @@ class TestRepair:
         # Each return to the root puts every freed variable on the lazy
         # decision heap, and only the search takes entries off it, so a
         # run of repaired answers must not let stale entries pile up.
-        spec = importlib.util.spec_from_file_location(
-            "perfbench_gen", pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "gen.py"
-        )
-        gen = importlib.util.module_from_spec(spec)
-        monkeypatch.setitem(sys.modules, spec.name, gen)  # dataclasses look it up
-        spec.loader.exec_module(gen)
+        gen = perfbench_gen()
         formula = parse_fm_to_cnf(gen.kconfig_model(1000, 0.15, random.Random("heap:1000")))
         engines = []
 

@@ -80,8 +80,8 @@ def pair_queries(monkeypatch):
     made = []
     solve = SatEngine.solve
 
-    def recording(self, assumptions=()):
-        outcome = solve(self, assumptions)
+    def recording(self, assumptions=(), soft=()):
+        outcome = solve(self, assumptions, soft)
         if len(assumptions) == 2:
             made.append((tuple(assumptions), outcome.status))
         return outcome
@@ -160,28 +160,30 @@ class TestExtractionRoutes:
             if v != g
         )
 
-    def test_unsat_chunk_falls_back_to_single_queries(self, monkeypatch):
+    def test_soft_chunk_keeps_what_a_walk_can_add(self, monkeypatch):
         # 6 is core, so propagation settles it and pays for a chunk. The
-        # first model sets every other variable false, and the chunk of
-        # candidates for false asks for 1, 2, 3 and 7 together (4 and 5
-        # each conflict under 1, 2 and 3). Propagation finds no conflict
-        # in it, but the four clauses over 4 and 5 exclude 1 & 2 & 3: the
-        # chunk is UNSAT, confirms nothing, and single queries settle
-        # what is left.
+        # first model sets every other variable false, and the chunk asks
+        # for the candidates for false, 1, 2, 3, 4, 5 and 7, as soft
+        # literals. The walk keeps 1 and 2; 3 would make one of the four
+        # clauses over 4 and 5 false with every literal fixed, so it is
+        # dropped; 4, 5 and 7 are kept. The answer is SAT, refutes all but
+        # 3, and a single query settles 3.
         made = []
         solve = SatEngine.solve
 
-        def recording(self, assumptions=()):
-            outcome = solve(self, assumptions)
-            made.append((tuple(assumptions), outcome.status))
+        def recording(self, assumptions=(), soft=()):
+            outcome = solve(self, assumptions, soft)
+            made.append((tuple(assumptions), tuple(soft), outcome.status, outcome.model))
             return outcome
 
         monkeypatch.setattr(SatEngine, "solve", recording)
         excluded = tuple((-1, -2, -3, y, z) for y in (4, -4) for z in (5, -5))
         formula = CnfFormula(num_vars=7, clauses=excluded + ((6,), (-7, 1)))
         backbone = compute_backbone(SatEngine(formula))
-        assert made[1] == ((1, 2, 3, 7), Status.UNSAT)
-        assert [len(query) for query, _ in made[2:]] == [1] * (len(made) - 2)
+        chunk_model = sum(1 << v for v in (1, 2, 4, 5, 6, 7))
+        assert made[0] == ((), (), Status.SAT, 1 << 6)
+        assert made[1] == ((), (1, 2, 3, 4, 5, 7), Status.SAT, chunk_model)
+        assert [(query, soft) for query, soft, _, _ in made[2:]] == [((3,), ())]
         assert backbone.literals == frozenset({6})
         classification, relations = extract_strong_relations(formula)
         assert (classification, relations) == tt_strong_relations(formula)
