@@ -23,20 +23,27 @@ def _quote_dot(name: str) -> str:
     return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
+class _QuotedNames(dict):
+    """Each feature's quoted DOT name, made on first use."""
+
+    def __init__(self, graphs: StrongGraphs):
+        super().__init__()
+        self.graphs = graphs
+
+    def __missing__(self, var: int) -> str:
+        quoted = self[var] = _quote_dot(self.graphs.name_of(var))
+        return quoted
+
+
 def _to_dot(graphs: StrongGraphs) -> str:
+    quoted = _QuotedNames(graphs)
     lines = ["digraph strong_graphs {"]
     for v in sorted(graphs.nodes):
-        lines.append(f"    {_quote_dot(graphs.name_of(v))} [index={v}];")
+        lines.append(f"    {quoted[v]} [index={v}];")
     for source, target in sorted(graphs.dep_arcs):
-        lines.append(
-            f"    {_quote_dot(graphs.name_of(source))} -> "
-            f"{_quote_dot(graphs.name_of(target))} [relation=requires];"
-        )
+        lines.append(f"    {quoted[source]} -> {quoted[target]} [relation=requires];")
     for a, b in sorted(graphs.conflict_edges):
-        lines.append(
-            f"    {_quote_dot(graphs.name_of(a))} -> "
-            f"{_quote_dot(graphs.name_of(b))} [dir=none, relation=excludes];"
-        )
+        lines.append(f"    {quoted[a]} -> {quoted[b]} [dir=none, relation=excludes];")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -72,18 +79,32 @@ def _to_graphml(graphs: StrongGraphs) -> str:
 
 
 def _to_json(graphs: StrongGraphs) -> str:
-    def feature_list(values) -> list[dict]:
-        return [{"index": v, "name": graphs.name_of(v)} for v in sorted(values)]
+    """The text of ``json.dumps(payload, indent=2, sort_keys=True)``, written
+    out entry by entry: the encoder that indents is pure Python."""
 
-    payload = {
-        "num_vars": graphs.classification.num_vars,
-        "nodes": feature_list(graphs.nodes),
-        "core": feature_list(graphs.classification.core),
-        "dead": feature_list(graphs.classification.dead),
-        "arcs": [list(arc) for arc in sorted(graphs.dep_arcs)],
-        "conflict_edges": [list(edge) for edge in sorted(graphs.conflict_edges)],
-    }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    def array(entries: list[str]) -> str:
+        return "[\n" + ",\n".join(entries) + "\n  ]" if entries else "[]"
+
+    def features(values) -> str:
+        return array([
+            f'    {{\n      "index": {v},\n      "name": {json.dumps(graphs.name_of(v))}\n    }}'
+            for v in sorted(values)
+        ])
+
+    def pairs(values) -> str:
+        return array([f"    [\n      {a},\n      {b}\n    ]" for a, b in sorted(values)])
+
+    classification = graphs.classification
+    return (
+        "{\n"
+        f'  "arcs": {pairs(graphs.dep_arcs)},\n'
+        f'  "conflict_edges": {pairs(graphs.conflict_edges)},\n'
+        f'  "core": {features(classification.core)},\n'
+        f'  "dead": {features(classification.dead)},\n'
+        f'  "nodes": {features(graphs.nodes)},\n'
+        f'  "num_vars": {classification.num_vars}\n'
+        "}\n"
+    )
 
 
 _RENDERERS = {"dot": _to_dot, "graphml": _to_graphml, "json": _to_json}

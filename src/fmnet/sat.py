@@ -12,8 +12,8 @@ fit the assumptions by flipping, for each clause a change makes false, its
 first literal not yet fixed (the local search plus unit propagation of
 UnitWalk). A walk is a cheap first try and can only say SAT; when it
 fails, CDCL search decides, and every UNSAT answer comes from the search.
-Soft literals take the same walk, one at a time, and are kept when it
-succeeds: they shape the model, never the answer.
+Soft literals take the same walk, each that needs a flip on its own, and
+are kept when it succeeds: they shape the model, never the answer.
 
 Everything here is deterministic: same formula, same call sequence, same
 answer, including the returned model. Only the SAT/UNSAT status is part of
@@ -23,8 +23,10 @@ that tests must not rely on beyond "it satisfies the formula".
 A model leaves this module as one integer, the bitmask of the variables it
 sets true (bit v for variable v, bit 0 clear). What unit propagation
 derives from the formula and the assumptions leaves it as masks too, one of
-the variables set true and one of those set false. No other module decodes
-either.
+the variables set true and one of those set false. Soft literals come in
+as such a pair, the variables wanted true and those wanted false, so a
+caller builds no list of literals. ``members`` lists the variables of a
+mask, and other modules decode masks only through it.
 """
 
 from __future__ import annotations
@@ -68,6 +70,21 @@ class SatOutcome:
     def __post_init__(self):
         if (self.status is Status.SAT) != (self.model is not None):
             raise ValueError("model must be present exactly for SAT outcomes")
+
+
+def members(mask: int) -> list[int]:
+    """The variables whose bit is set in ``mask`` (bit v for variable v), ascending.
+
+    One ``find`` per set bit over the mask's binary digits, lowest bit
+    first, so a pass costs time linear in the mask's width.
+    """
+    digits = bin(mask)[:1:-1]
+    found = []
+    var = digits.find("1")
+    while var >= 0:
+        found.append(var)
+        var = digits.find("1", var + 1)
+    return found
 
 
 def _luby(i: int) -> int:
@@ -163,18 +180,26 @@ class SatEngine:
             masks[code & 1] |= 1 << (code >> 1)
         return masks[0], masks[1]
 
-    def solve(self, assumptions: Sequence[int] = (), soft: Sequence[int] = ()) -> SatOutcome:
+    def solve(self, assumptions: Sequence[int] = (), soft: tuple[int, int] = (0, 0)) -> SatOutcome:
         """Decide satisfiability of the clauses under the given assumptions.
 
         A cheap first try walks the last model returned to fit the
         assumptions (see ``_walk``). When that fails, CDCL search decides.
         A walk can only find a model, so every UNSAT answer comes from the
-        search. The model of a SAT answer then walks to each ``soft``
-        literal in turn, keeping those whose walk succeeds.
+        search. The model of a SAT answer then takes the soft literals,
+        given as ``(true_mask, false_mask)`` like the result of
+        ``implied_literals``: the variables of the true mask, then those of
+        the false mask, each in ascending order. A variable already fixed
+        is skipped, a free one with the wanted value is fixed as it is,
+        and only one that needs a flip gets a walk, kept when it succeeds.
+        So a variable in both masks is tried true first.
         """
         self.num_solve_calls += 1
         codes = self._codes(assumptions, "assumption")
-        soft_codes = self._codes(soft, "soft literal")
+        true_mask, false_mask = soft
+        for mask in soft:
+            if not isinstance(mask, int) or mask < 0 or mask & 1 or mask >> (self.num_vars + 1):
+                raise ValueError(f"soft mask {mask!r} out of range 1..{self.num_vars}")
         if not self._at_root():
             return SatOutcome(Status.UNSAT)
         fixed = bytearray(self._values)  # _UNASSIGNED marks a variable still free
@@ -186,8 +211,14 @@ class SatEngine:
             self._walk(model, fixed, codes)  # fixes the assumptions, flips nothing
         else:
             return SatOutcome(Status.UNSAT)
-        for code in soft_codes:
-            self._walk(model, fixed, [code])
+        for sign, mask in ((0, true_mask), (1, false_mask)):  # literal code 2v + sign
+            for var in members(mask):
+                if fixed[var] != _UNASSIGNED:
+                    continue
+                if model[var] ^ sign == _TRUE:
+                    fixed[var] = model[var]
+                else:
+                    self._walk(model, fixed, [var << 1 | sign])
         # Entry 0 is never assigned, so bit 0 comes out clear.
         return SatOutcome(Status.SAT, int(model[::-1].translate(_MODEL_DIGITS), 2))
 

@@ -30,11 +30,11 @@ variables.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .cnf import CnfFormula
 from .errors import VoidModelError
-from .sat import SatEngine, Status
+from .sat import SatEngine, Status, members
 
 Arc = tuple[int, int]
 
@@ -111,14 +111,6 @@ class StrongGraphs:
         return self.names.get(var, f"v{var}")
 
 
-def _members(mask: int) -> Iterator[int]:
-    """Variables whose bit is set in ``mask`` (bit v stands for variable v)."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def _forced(
     engine: SatEngine,
     assumptions: Sequence[int],
@@ -136,11 +128,13 @@ def _forced(
 
     Before the single queries, one query may refute a chunk of candidates
     of one kind: the assumptions, with every open candidate of that kind
-    negated as a soft literal. A chunk is tried only while the candidates
-    settled without a query of their own outnumber the chunks tried, so the
-    solves never outnumber the candidates. A kind stops when two candidates
-    or fewer are open or a chunk refutes nothing; the single queries settle
-    what is left.
+    negated as a soft literal. The soft literals go to the engine as one
+    mask, with no list built: the candidates for true as the mask of
+    variables wanted false, those for false as the mask wanted true. A
+    chunk is tried only while the candidates settled without a query of
+    their own outnumber the chunks tried, so the solves never outnumber
+    the candidates. A kind stops when two candidates or fewer are open or
+    a chunk refutes nothing; the single queries settle what is left.
     """
     forced_true = forced_false = 0
     if true_open | false_open:
@@ -150,15 +144,16 @@ def _forced(
         true_open ^= forced_true
         false_open ^= forced_false
     saved, spent = (forced_true | forced_false).bit_count(), 0
-    for sign in (-1, 1):
+    for for_true in (True, False):
         while saved > spent:
-            candidates = true_open if sign < 0 else false_open
+            candidates = true_open if for_true else false_open
             if candidates.bit_count() <= 2:
                 break
             spent += 1
             # SAT, since the assumptions are satisfiable and soft literals
             # never make an answer UNSAT.
-            model = engine.solve(assumptions, [sign * g for g in _members(candidates)]).model
+            soft = (0, candidates) if for_true else (candidates, 0)
+            model = engine.solve(assumptions, soft).model
             witness(model)
             open_before = true_open | false_open
             true_open &= model
@@ -167,7 +162,7 @@ def _forced(
             if not refuted:
                 break
             saved += refuted
-    for g in (*_members(true_open), *_members(false_open)):
+    for g in members(true_open) + members(false_open):
         bit = 1 << g
         if true_open & bit:
             outcome = engine.solve((*assumptions, -g))
@@ -201,7 +196,7 @@ def compute_backbone(engine: SatEngine) -> Backbone:
     unset = (1 << (engine.num_vars + 1)) - 2 & ~outcome.model
     core, dead = _forced(engine, (), outcome.model, unset, models.append)
     return Backbone(
-        frozenset([*_members(core), *(-v for v in _members(dead))]),
+        frozenset([*members(core), *(-v for v in members(dead))]),
         sat_calls=engine.num_solve_calls - calls_before,
         models=tuple(models),
     )
@@ -233,25 +228,30 @@ def extract_strong_relations(
     deps = dict.fromkeys(order, 0)
     conflicts = dict.fromkeys(order, 0)
 
+    # The features whose turn is still to come: only their open masks are
+    # read again, so a witness updates only them.
+    pending = everyone
+
     def witness(model: int) -> None:
-        for v in _members(model & everyone):
+        for v in members(model & pending):
             open_deps[v] &= model
             open_conflicts[v] &= ~model
 
     for model in base.models:
         witness(model)
     for v in order:
+        pending ^= 1 << v
         deps[v], found = _forced(engine, (v,), open_deps[v], open_conflicts[v], witness)
         # Conflicts are symmetric: each one found is proven for g as well.
         conflicts[v] |= found
-        for g in _members(found):
+        for g in members(found):
             conflicts[g] |= 1 << v
             open_conflicts[g] &= ~(1 << v)
 
     relations = {
         v: StrongRelations(
-            depends_on=frozenset(_members(deps[v])),
-            conflicts_with=frozenset(_members(conflicts[v])),
+            depends_on=frozenset(members(deps[v])),
+            conflicts_with=frozenset(members(conflicts[v])),
         )
         for v in order
     }

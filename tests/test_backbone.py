@@ -15,6 +15,14 @@ from fmnet.sat import SatEngine, Status
 from fmnet.strong_graphs import Backbone, compute_backbone
 
 
+def soft_literals(soft):
+    """The literals a ``(true_mask, false_mask)`` pair of soft masks stands for."""
+    true_mask, false_mask = soft
+    return [v for v in range(true_mask.bit_length()) if true_mask >> v & 1] + [
+        -v for v in range(false_mask.bit_length()) if false_mask >> v & 1
+    ]
+
+
 def unit_fixed(formula):
     """Literals that unit propagation from the clauses alone fixes."""
     fixed = set()
@@ -89,9 +97,9 @@ class TestComputeBackbone:
         chunks = {Status.SAT: 0, Status.UNSAT: 0}
         solve = SatEngine.solve
 
-        def recording(self, assumptions=(), soft=()):
+        def recording(self, assumptions=(), soft=(0, 0)):
             outcome = solve(self, assumptions, soft)
-            if soft:
+            if soft != (0, 0):
                 chunks[outcome.status] += 1
             return outcome
 
@@ -128,7 +136,7 @@ class TestComputeBackbone:
         answers = []
         solve = SatEngine.solve
 
-        def recording(self, assumptions=(), soft=()):
+        def recording(self, assumptions=(), soft=(0, 0)):
             outcome = solve(self, assumptions, soft)
             answers.append((len(assumptions), outcome.status))
             return outcome
@@ -158,9 +166,9 @@ class TestComputeBackbone:
         made = []
         solve = SatEngine.solve
 
-        def recording(self, assumptions=(), soft=()):
+        def recording(self, assumptions=(), soft=(0, 0)):
             outcome = solve(self, assumptions, soft)
-            made.append(((*assumptions, *soft), outcome.model))
+            made.append(((*assumptions, *soft_literals(soft)), outcome.model))
             return outcome
 
         monkeypatch.setattr(SatEngine, "solve", recording)
@@ -185,8 +193,8 @@ class TestComputeBackbone:
         queried = []
         solve = SatEngine.solve
 
-        def recording(self, assumptions=(), soft=()):
-            queried.extend(abs(lit) for lit in (*assumptions, *soft))
+        def recording(self, assumptions=(), soft=(0, 0)):
+            queried.extend(abs(lit) for lit in (*assumptions, *soft_literals(soft)))
             return solve(self, assumptions, soft)
 
         monkeypatch.setattr(SatEngine, "solve", recording)

@@ -7,9 +7,9 @@ import networkx
 import pytest
 
 from conftest import random_satisfiable_cnf
-from fmnet.cnf import CnfFormula
+from fmnet.cnf import CnfFormula, parse_dimacs
 from fmnet.export import export_graph, graphs_from_json
-from fmnet.strong_graphs import compute_strong_graphs
+from fmnet.strong_graphs import FeatureClassification, StrongGraphs, compute_strong_graphs
 
 # 1 core; 3 requires 2; 4 excludes 2 and 3.
 DEMO = CnfFormula(
@@ -22,6 +22,90 @@ DEMO = CnfFormula(
 @pytest.fixture(scope="module")
 def demo_graphs():
     return compute_strong_graphs(DEMO)
+
+
+def reference_json(graphs):
+    """The JSON export built as a payload and encoded by ``json.dumps``."""
+
+    def feature_list(values):
+        return [{"index": v, "name": graphs.name_of(v)} for v in sorted(values)]
+
+    payload = {
+        "num_vars": graphs.classification.num_vars,
+        "nodes": feature_list(graphs.nodes),
+        "core": feature_list(graphs.classification.core),
+        "dead": feature_list(graphs.classification.dead),
+        "arcs": [list(arc) for arc in sorted(graphs.dep_arcs)],
+        "conflict_edges": [list(edge) for edge in sorted(graphs.conflict_edges)],
+    }
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def reference_dot(graphs):
+    """The DOT export with every name quoted where it is written."""
+
+    def quoted(v):
+        return '"' + graphs.name_of(v).replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+    lines = ["digraph strong_graphs {"]
+    lines += [f"    {quoted(v)} [index={v}];" for v in sorted(graphs.nodes)]
+    lines += [f"    {quoted(a)} -> {quoted(b)} [relation=requires];"
+              for a, b in sorted(graphs.dep_arcs)]
+    lines += [f"    {quoted(a)} -> {quoted(b)} [dir=none, relation=excludes];"
+              for a, b in sorted(graphs.conflict_edges)]
+    return "\n".join(lines) + "\n}\n"
+
+
+# 7 is core and 6 dead; 1 requires 2 and 3 excludes 4. The names hold a
+# quote, a backslash and characters outside ASCII; 5 has none.
+ODD_NAMES = """\
+c 1 Q"uote
+c 2 back\\slash
+c 3 café
+c 4 名前
+c 6 "\\"
+c 7 Ω\\n
+p cnf 7 4
+7 0
+-6 0
+-1 2 0
+-3 -4 0
+"""
+
+EDGE_CASES = {
+    "odd names": ODD_NAMES,
+    "no variables": "p cnf 0 0\n",
+    "no core, dead, arc or edge": "c 1 A\nc 2 B\np cnf 2 1\n1 2 0\n",
+    "only core and dead": "c 1 A\np cnf 2 2\n1 0\n-2 0\n",
+    "core but no dead": "p cnf 3 2\n1 0\n-2 3 0\n",
+    "arcs but no edge": "p cnf 3 2\n-1 2 0\n-2 3 0\n",
+    "edges but no arc": "p cnf 3 2\n-1 -2 0\n-2 -3 0\n",
+}
+
+
+@pytest.mark.parametrize("case", sorted(EDGE_CASES))
+def test_exports_match_the_reference_encoders(case):
+    graphs = compute_strong_graphs(parse_dimacs(EDGE_CASES[case]))
+    text = export_graph(graphs, "json")
+    assert text == reference_json(graphs)
+    assert export_graph(graphs, "dot") == reference_dot(graphs)
+    assert export_graph(graphs_from_json(text), "json") == text
+
+
+def test_dot_names_endpoints_outside_the_nodes():
+    # Graphs built in code may have an arc whose ends are no nodes; the
+    # DOT export still names them as the reference does.
+    classification = FeatureClassification(
+        num_vars=3, core=frozenset({3}), dead=frozenset(), configurable=frozenset({1, 2})
+    )
+    graphs = StrongGraphs(
+        dep_arcs=frozenset({(1, 3), (4, 2)}),
+        conflict_edges=frozenset({(2, 5)}),
+        classification=classification,
+        names={1: 'A"', 3: "C\\"},
+    )
+    assert export_graph(graphs, "dot") == reference_dot(graphs)
+    assert export_graph(graphs, "json") == reference_json(graphs)
 
 
 class TestDot:
@@ -90,7 +174,10 @@ class TestJson:
                 names={v: f"F{v}" for v in formula.variables()},
             )
             graphs = compute_strong_graphs(named)
-            again = graphs_from_json(export_graph(graphs, "json"))
+            text = export_graph(graphs, "json")
+            assert text == reference_json(graphs)
+            assert export_graph(graphs, "dot") == reference_dot(graphs)
+            again = graphs_from_json(text)
             assert again.nodes == graphs.nodes
             assert again.dep_arcs == graphs.dep_arcs
             assert again.conflict_edges == graphs.conflict_edges

@@ -98,3 +98,41 @@ def test_redundant_clauses_leave_the_graphs(models, index):
     extra = (resolvent(formula.clauses), (-v, g))
     redundant = CnfFormula(num_vars=formula.num_vars, clauses=formula.clauses + extra)
     assert extract_strong_relations(redundant) == extraction
+
+
+@pytest.mark.parametrize("index", range(len(SEEDS)))
+def test_a_feature_and_its_copy(models, index):
+    # Add X' <-> X for a configurable X. X and X' require each other, X'
+    # has X's arcs, in and out, and X's conflict edges, and nothing else
+    # changes. X is picked among the features with arcs in and out; a
+    # witness applied to a feature the model does not select leaves none,
+    # and then the arcs between X and X' are missing.
+    formula, (classification, relations) = models[index]
+    required = {g for rel in relations.values() for g in rel.depends_on}
+    linked = [v for v, rel in relations.items() if rel.depends_on and v in required]
+    x = random.Random(f"copy:{index}").choice(sorted(linked or classification.configurable))
+    copy = formula.num_vars + 1
+    copied = CnfFormula(num_vars=copy, clauses=formula.clauses + ((-x, copy), (x, -copy)))
+
+    def with_copy(group):
+        return group | {copy} if x in group else group
+
+    expected = {
+        v: StrongRelations(
+            depends_on=with_copy(rel.depends_on) | ({copy} if v == x else set()),
+            conflicts_with=with_copy(rel.conflicts_with),
+        )
+        for v, rel in relations.items()
+    }
+    expected[copy] = StrongRelations(
+        depends_on=relations[x].depends_on | {x},
+        conflicts_with=relations[x].conflicts_with,
+    )
+    expected_classification = FeatureClassification(
+        num_vars=copy,
+        core=classification.core,
+        dead=classification.dead,
+        configurable=classification.configurable | {copy},
+    )
+    assert extract_strong_relations(copied) == (expected_classification, expected)
+    assert x in linked

@@ -313,16 +313,19 @@ def walked(clauses, model, fixed, lit):
 class TestRepair:
     """``solve`` first walks the last model it returned to the assumptions;
     the search decides only when that walk fails. Soft literals take the
-    same walk, one at a time, and are kept when it succeeds."""
+    same walk, one at a time, and are kept when it succeeds. They come as a
+    pair of masks, and those of the true mask go first, each mask in
+    ascending variable order."""
 
     def test_soft_literals_against_truth_table_and_a_naive_walk(self):
         # One engine per formula answers a run of queries with assumptions
-        # and soft literals, which may repeat or contradict each other and
-        # the assumptions. The status is the truth table's whatever the soft
-        # literals, and every model satisfies every clause and assumption.
-        # After solve(A) has returned model M, solve(A, soft) walks no
-        # assumption, so its model is the naive walk's from M over the
-        # engine's stored clauses, in their current literal order.
+        # and soft literals, which may contradict each other (a variable in
+        # both masks) and the assumptions. The status is the truth table's
+        # whatever the soft literals, and every model satisfies every clause
+        # and assumption. After solve(A) has returned model M, solve(A, soft)
+        # walks no assumption, so its model is the naive walk's from M over
+        # the engine's stored clauses, in their current literal order, taking
+        # the true mask's literals and then the false mask's, each ascending.
         rng = random.Random(1906)
         kept = dropped = unsat = 0
         for _ in range(150):
@@ -333,7 +336,9 @@ class TestRepair:
             literals = [lit for v in range(1, num_vars + 1) for lit in (v, -v)]
             for _ in range(6):
                 assumptions = tuple(rng.choices(literals, k=rng.randint(0, 3)))
-                soft = tuple(rng.choices(literals, k=rng.randint(0, 8)))
+                drawn = rng.choices(literals, k=rng.randint(0, 10))
+                soft = (sum({1 << lit for lit in drawn if lit > 0}),
+                        sum({1 << -lit for lit in drawn if lit < 0}))
                 rows = conditioned(formula, assumptions)
                 outcome = engine.solve(assumptions, soft)
                 assert (outcome.status is Status.SAT) == (rows != 0), (assumptions, soft)
@@ -348,7 +353,9 @@ class TestRepair:
                 fixed |= {abs(a) for a in assumptions}
                 clauses = [[c >> 1 if c & 1 == 0 else -(c >> 1) for c in clause]
                            for clause in engine._clauses[:stored]]
-                for lit in soft:
+                in_order = [v for v in range(1, num_vars + 1) if soft[0] >> v & 1]
+                in_order += [-v for v in range(1, num_vars + 1) if soft[1] >> v & 1]
+                for lit in in_order:
                     step = walked(clauses, model, fixed, lit)
                     if step is None:
                         dropped += 1
@@ -359,11 +366,16 @@ class TestRepair:
         assert kept > 1000 and dropped > 300 and unsat > 100
 
     def test_soft_literal_out_of_range(self):
+        # A negative mask, bit 0 (no variable) and a bit above num_vars are
+        # refused in either mask, and the refused call leaves no trace.
         engine = SatEngine(CnfFormula(num_vars=2, clauses=((1, 2),)))
-        with pytest.raises(ValueError, match="soft literal 3 out of range 1..2"):
-            engine.solve((), (1, 3))
-        with pytest.raises(ValueError, match="soft literal 0 out of range 1..2"):
-            engine.solve((), (0,))
+        for bad in (-2, 0b001, 0b1000):
+            for soft in ((bad, 0), (0, bad)):
+                with pytest.raises(ValueError, match=f"soft mask {bad} out of range 1..2"):
+                    engine.solve((), soft)
+        assert engine.num_solve_calls == 6
+        assert engine.solve((), (0b110, 0)).model == 0b110
+        assert engine.solve((), (0b100, 0b110)).model == 0b100
 
     def test_random_queries_against_truth_table(self):
         # One engine per formula answers a run of assumption queries: the

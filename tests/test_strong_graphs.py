@@ -80,7 +80,7 @@ def pair_queries(monkeypatch):
     made = []
     solve = SatEngine.solve
 
-    def recording(self, assumptions=(), soft=()):
+    def recording(self, assumptions=(), soft=(0, 0)):
         outcome = solve(self, assumptions, soft)
         if len(assumptions) == 2:
             made.append((tuple(assumptions), outcome.status))
@@ -163,15 +163,15 @@ class TestExtractionRoutes:
     def test_soft_chunk_keeps_what_a_walk_can_add(self, monkeypatch):
         # 6 is core, so propagation settles it and pays for a chunk. The
         # first model sets every other variable false, and the chunk asks
-        # for the candidates for false, 1, 2, 3, 4, 5 and 7, as soft
-        # literals. The walk keeps 1 and 2; 3 would make one of the four
+        # for the candidates for false, 1, 2, 3, 4, 5 and 7, as the mask of
+        # soft literals wanted true. The walk keeps 1 and 2; 3 would make one of the four
         # clauses over 4 and 5 false with every literal fixed, so it is
         # dropped; 4, 5 and 7 are kept. The answer is SAT, refutes all but
         # 3, and a single query settles 3.
         made = []
         solve = SatEngine.solve
 
-        def recording(self, assumptions=(), soft=()):
+        def recording(self, assumptions=(), soft=(0, 0)):
             outcome = solve(self, assumptions, soft)
             made.append((tuple(assumptions), tuple(soft), outcome.status, outcome.model))
             return outcome
@@ -181,9 +181,10 @@ class TestExtractionRoutes:
         formula = CnfFormula(num_vars=7, clauses=excluded + ((6,), (-7, 1)))
         backbone = compute_backbone(SatEngine(formula))
         chunk_model = sum(1 << v for v in (1, 2, 4, 5, 6, 7))
-        assert made[0] == ((), (), Status.SAT, 1 << 6)
-        assert made[1] == ((), (1, 2, 3, 4, 5, 7), Status.SAT, chunk_model)
-        assert [(query, soft) for query, soft, _, _ in made[2:]] == [((3,), ())]
+        assert made[0] == ((), (0, 0), Status.SAT, 1 << 6)
+        wanted = sum(1 << v for v in (1, 2, 3, 4, 5, 7))
+        assert made[1] == ((), (wanted, 0), Status.SAT, chunk_model)
+        assert [(query, soft) for query, soft, _, _ in made[2:]] == [((3,), (0, 0))]
         assert backbone.literals == frozenset({6})
         classification, relations = extract_strong_relations(formula)
         assert (classification, relations) == tt_strong_relations(formula)
