@@ -16,15 +16,15 @@ candidate it derives, the literals the formula fixes at the root included,
 without a query. Every model the solver returns is a witness: it refutes
 the candidates it disagrees with, for the feature at hand and, through the
 caller's ``witness``, for every feature it selects. A chunk query passes
-the open candidates of one kind, negated, as soft literals: its model keeps
-as many as the solver's walk can add and refutes them all, and it is never
-unsatisfiable. Only what is left gets a query of its own, the assumptions
-plus the candidate negated, which is unsatisfiable exactly when the
-candidate is forced. The backbone's models are replayed as witnesses before
-the per-feature search. Chunking follows Janota, Lynce & Marques-Silva,
-"Algorithms for computing backbones of propositional formulae" (AI
-Communications 28(2), 2015), with soft literals in place of selector
-variables.
+every open candidate, for true and for false alike, negated, as soft
+literals: its model keeps as many as the solver's walk can add and refutes
+them all, and it is never unsatisfiable. Only what is left gets a query of
+its own, the assumptions plus the candidate negated, which is unsatisfiable
+exactly when the candidate is forced. The backbone's models are replayed as
+witnesses before the per-feature search. Chunking follows Janota, Lynce &
+Marques-Silva, "Algorithms for computing backbones of propositional
+formulae" (AI Communications 28(2), 2015), with soft literals in place of
+selector variables.
 """
 
 from __future__ import annotations
@@ -122,19 +122,17 @@ def _forced(
 
     ``true_open`` and ``false_open`` are disjoint variable masks of the
     candidates to settle; the result holds the masks of those forced true
-    and forced false. Candidates for true are handled first, then those for
-    false, each in variable order. Every model found is passed to
-    ``witness``.
+    and forced false. Every model found is passed to ``witness``.
 
-    Before the single queries, one query may refute a chunk of candidates
-    of one kind: the assumptions, with every open candidate of that kind
-    negated as a soft literal. The soft literals go to the engine as one
-    mask, with no list built: the candidates for true as the mask of
-    variables wanted false, those for false as the mask wanted true. A
-    chunk is tried only while the candidates settled without a query of
-    their own outnumber the chunks tried, so the solves never outnumber
-    the candidates. A kind stops when two candidates or fewer are open or
-    a chunk refutes nothing; the single queries settle what is left.
+    Before the single queries, chunk queries may refute many candidates of
+    both kinds at once: the assumptions, with every open candidate negated
+    as a soft literal, passed to the engine as masks with no list built
+    (the candidates for false as the mask of variables wanted true, those
+    for true as the mask wanted false). A chunk is tried only while the
+    candidates settled without a query of their own outnumber the chunks
+    tried, so the solves never outnumber the candidates. The chunks stop
+    when two candidates or fewer are open or a chunk refutes nothing; then
+    each candidate still open, in variable order, gets a query of its own.
     """
     forced_true = forced_false = 0
     if true_open | false_open:
@@ -144,37 +142,31 @@ def _forced(
         true_open ^= forced_true
         false_open ^= forced_false
     saved, spent = (forced_true | forced_false).bit_count(), 0
-    for for_true in (True, False):
-        while saved > spent:
-            candidates = true_open if for_true else false_open
-            if candidates.bit_count() <= 2:
-                break
-            spent += 1
-            # SAT, since the assumptions are satisfiable and soft literals
-            # never make an answer UNSAT.
-            soft = (0, candidates) if for_true else (candidates, 0)
-            model = engine.solve(assumptions, soft).model
-            witness(model)
-            open_before = true_open | false_open
-            true_open &= model
-            false_open &= ~model
-            refuted = (open_before ^ (true_open | false_open)).bit_count()
-            if not refuted:
-                break
-            saved += refuted
-    for g in members(true_open) + members(false_open):
+    # Over two candidates or fewer, a chunk saves at most one query and
+    # costs one more when it refutes none.
+    while saved > spent and (true_open | false_open).bit_count() > 2:
+        spent += 1
+        # SAT, since the assumptions are satisfiable and soft literals
+        # never make an answer UNSAT.
+        model = engine.solve(assumptions, (false_open, true_open)).model
+        witness(model)
+        refuted = ((true_open & ~model) | (false_open & model)).bit_count()
+        if not refuted:
+            break
+        saved += refuted
+        true_open &= model
+        false_open &= ~model
+    for g in members(true_open | false_open):
         bit = 1 << g
-        if true_open & bit:
-            outcome = engine.solve((*assumptions, -g))
-        elif false_open & bit:
-            outcome = engine.solve((*assumptions, g))
-        else:
+        if not (true_open | false_open) & bit:
             continue  # refuted by a model found since the loop began
+        lit = -g if true_open & bit else g
+        outcome = engine.solve((*assumptions, lit))
         if outcome.status is Status.SAT:
             witness(outcome.model)
             true_open &= outcome.model
             false_open &= ~outcome.model
-        elif true_open & bit:
+        elif lit < 0:
             forced_true |= bit
         else:
             forced_false |= bit

@@ -20,6 +20,7 @@ import pytest
 
 from fmnet.cnf import CnfFormula
 from fmnet.fixtures import coreboot_graphics_formula
+from fmnet.sat import SatEngine
 from fmnet.strong_graphs import FeatureClassification, StrongRelations
 
 
@@ -286,6 +287,22 @@ def apply_mutation(graphs, kind: str, rng: random.Random):
 @pytest.fixture(scope="session")
 def coreboot_formula() -> CnfFormula:
     return coreboot_graphics_formula()
+
+
+@pytest.fixture
+def solve_log(monkeypatch) -> list:
+    """Every ``SatEngine.solve`` call made while the test runs, in order,
+    as ``(assumptions, soft, outcome)``."""
+    log = []
+    solve = SatEngine.solve
+
+    def recording(self, assumptions=(), soft=(0, 0)):
+        outcome = solve(self, assumptions, soft)
+        log.append((tuple(assumptions), tuple(soft), outcome))
+        return outcome
+
+    monkeypatch.setattr(SatEngine, "solve", recording)
+    return log
 
 
 @pytest.fixture(scope="session")

@@ -89,21 +89,11 @@ class TestComputeBackbone:
             backbone = compute_backbone(SatEngine(formula))
             assert backbone.sat_calls <= num_vars + 1
 
-    def test_chunks_keep_the_call_budget(self, monkeypatch):
+    def test_chunks_keep_the_call_budget(self, solve_log):
         # Unit clauses settle candidates by propagation, which pays for
         # chunk queries (several candidates at once, as soft literals).
         # Without a unit clause nothing pays for one. The budget above
         # holds, and soft literals never make a chunk UNSAT.
-        chunks = {Status.SAT: 0, Status.UNSAT: 0}
-        solve = SatEngine.solve
-
-        def recording(self, assumptions=(), soft=(0, 0)):
-            outcome = solve(self, assumptions, soft)
-            if soft != (0, 0):
-                chunks[outcome.status] += 1
-            return outcome
-
-        monkeypatch.setattr(SatEngine, "solve", recording)
         rng = random.Random(2015)
         for _ in range(300):
             num_vars = rng.randint(4, 14)
@@ -117,7 +107,8 @@ class TestComputeBackbone:
             backbone = compute_backbone(SatEngine(formula))
             assert backbone.literals == tt_backbone_literals(formula)
             assert backbone.sat_calls <= num_vars + 1
-        assert chunks[Status.SAT] > 100 and chunks[Status.UNSAT] == 0
+        chunks = [outcome.status for _, soft, outcome in solve_log if soft != (0, 0)]
+        assert chunks.count(Status.SAT) > 100 and chunks.count(Status.UNSAT) == 0
 
     def test_counts_only_its_own_solves(self):
         engine = SatEngine(CnfFormula(num_vars=3, clauses=((1,), (-1, 2))))
@@ -127,21 +118,12 @@ class TestComputeBackbone:
         assert backbone.sat_calls == engine.num_solve_calls - 2
         assert backbone.sat_calls <= 4
 
-    def test_models_are_the_models_found(self, monkeypatch):
+    def test_models_are_the_models_found(self, solve_log):
         # Each mask is a model of the formula, and there is one per SAT
         # answer. Each backbone literal takes one single-literal UNSAT
         # answer, except those fixed at the root once the first model is
         # found: propagation confirms them without a solve. A chunk query
         # (soft literals) is never UNSAT.
-        answers = []
-        solve = SatEngine.solve
-
-        def recording(self, assumptions=(), soft=(0, 0)):
-            outcome = solve(self, assumptions, soft)
-            answers.append((len(assumptions), outcome.status))
-            return outcome
-
-        monkeypatch.setattr(SatEngine, "solve", recording)
         rng = random.Random(31)
         for _ in range(100):
             num_vars = rng.randint(1, 12)
@@ -149,8 +131,9 @@ class TestComputeBackbone:
             probe = SatEngine(formula)
             probe.solve()
             root_true, root_false = probe.implied_literals(())
-            answers.clear()
+            solve_log.clear()
             backbone = compute_backbone(SatEngine(formula))
+            answers = [(len(assumptions), outcome.status) for assumptions, _, outcome in solve_log]
             queried = len(backbone.literals) - bin(root_true | root_false).count("1")
             assert len(answers) == backbone.sat_calls
             assert len(backbone.models) == sum(status is Status.SAT for _, status in answers)
@@ -159,26 +142,19 @@ class TestComputeBackbone:
             for lit in backbone.literals:
                 assert all((mask >> abs(lit) & 1) == (lit > 0) for mask in backbone.models)
 
-    def test_no_query_for_a_refuted_candidate(self, monkeypatch):
+    def test_no_query_for_a_refuted_candidate(self, solve_log):
         # Each model found refutes every candidate it disagrees with, so no
         # literal of a later query, a chunk query's soft literals included,
         # asks about one of those; some queries are saved.
-        made = []
-        solve = SatEngine.solve
-
-        def recording(self, assumptions=(), soft=(0, 0)):
-            outcome = solve(self, assumptions, soft)
-            made.append(((*assumptions, *soft_literals(soft)), outcome.model))
-            return outcome
-
-        monkeypatch.setattr(SatEngine, "solve", recording)
         rng = random.Random(55)
         saved = 0
         for _ in range(100):
             num_vars = rng.randint(2, 12)
             formula = random_satisfiable_cnf(rng, num_vars, rng.uniform(1.5, 4.0))
-            made.clear()
+            solve_log.clear()
             backbone = compute_backbone(SatEngine(formula))
+            made = [((*assumptions, *soft_literals(soft)), outcome.model)
+                    for assumptions, soft, outcome in solve_log]
             for i, (query, _) in enumerate(made[1:], start=1):
                 earlier = [model for _, model in made[:i] if model is not None]
                 assert not any(
@@ -187,17 +163,9 @@ class TestComputeBackbone:
             saved += num_vars + 1 - backbone.sat_calls
         assert saved > 0
 
-    def test_no_query_for_a_variable_fixed_at_the_root(self, monkeypatch):
+    def test_no_query_for_a_variable_fixed_at_the_root(self, solve_log):
         # Unit clauses and the binary clauses they propagate through fix
         # variables at the root; propagation settles those without a query.
-        queried = []
-        solve = SatEngine.solve
-
-        def recording(self, assumptions=(), soft=(0, 0)):
-            queried.extend(abs(lit) for lit in (*assumptions, *soft_literals(soft)))
-            return solve(self, assumptions, soft)
-
-        monkeypatch.setattr(SatEngine, "solve", recording)
         rng = random.Random(808)
         fixed_seen = 0
         for _ in range(100):
@@ -210,8 +178,10 @@ class TestComputeBackbone:
                 if truth_table_mask(formula):
                     break
             fixed = unit_fixed(formula)
-            queried.clear()
+            solve_log.clear()
             backbone = compute_backbone(SatEngine(formula))
+            queried = [abs(lit) for assumptions, soft, _ in solve_log
+                       for lit in (*assumptions, *soft_literals(soft))]
             assert backbone.literals == tt_backbone_literals(formula)
             assert fixed <= backbone.literals
             assert not {abs(lit) for lit in fixed} & set(queried)

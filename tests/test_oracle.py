@@ -13,7 +13,6 @@ from conftest import (
 from fmnet.cnf import CnfFormula
 from fmnet.errors import EnumerationLimitError, VoidModelError
 from fmnet.oracle import Discrepancy, oracle_strong_relations, validate_model
-from fmnet.sat import SatEngine
 from fmnet.strong_graphs import compute_strong_graphs, extract_strong_relations
 
 
@@ -219,21 +218,14 @@ def test_discrepancy_texts_pinned(fault):
 
 
 @pytest.mark.parametrize("options, solves", [({}, 225), ({"sample_size": 3, "seed": 5}, 70)])
-def test_one_solve_per_check(coreboot_formula, monkeypatch, options, solves):
+def test_one_solve_per_check(coreboot_formula, solve_log, options, solves):
     # On a correct artifact every check is one assumption solve, and each
     # sampled node takes two (not core, not dead).
     graphs = compute_strong_graphs(coreboot_formula)
-    solve = SatEngine.solve
-    calls = []
-
-    def counted(engine, *args, **kwargs):
-        calls.append(args)
-        return solve(engine, *args, **kwargs)
-
-    monkeypatch.setattr(SatEngine, "solve", counted)
+    solve_log.clear()
     report = validate_model(coreboot_formula, graphs, **options)
     assert report.passed
-    assert len(calls) == solves == (
+    assert len(solve_log) == solves == (
         report.checked_core + report.checked_dead + 2 * report.checked_nodes
         + report.checked_arcs + report.checked_edges
     )

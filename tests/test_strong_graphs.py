@@ -74,24 +74,14 @@ class TestExtraction:
             assert relations == tt_relations
 
 
-@pytest.fixture
-def pair_queries(monkeypatch):
-    """Two-literal solver queries made while the test runs, with their answers."""
-    made = []
-    solve = SatEngine.solve
-
-    def recording(self, assumptions=(), soft=(0, 0)):
-        outcome = solve(self, assumptions, soft)
-        if len(assumptions) == 2:
-            made.append((tuple(assumptions), outcome.status))
-        return outcome
-
-    monkeypatch.setattr(SatEngine, "solve", recording)
-    return made
+def pair_queries(solve_log):
+    """The two-literal queries in ``solve_log``, with their answers."""
+    return [(assumptions, outcome.status) for assumptions, _, outcome in solve_log
+            if len(assumptions) == 2]
 
 
 class TestExtractionRoutes:
-    def test_arc_settled_by_a_query(self, pair_queries):
+    def test_arc_settled_by_a_query(self, solve_log):
         # v => a | b, a => g, b => g: v forces g, but only through a case
         # split that unit propagation from v alone does not make.
         v, a, b, g = 1, 2, 3, 4
@@ -100,9 +90,9 @@ class TestExtractionRoutes:
         assert not implied_true >> g & 1
         _, relations = extract_strong_relations(formula)
         assert relations[v].depends_on == frozenset({g})
-        assert ((v, -g), Status.UNSAT) in pair_queries
+        assert ((v, -g), Status.UNSAT) in pair_queries(solve_log)
 
-    def test_conflict_settled_by_a_query(self, pair_queries):
+    def test_conflict_settled_by_a_query(self, solve_log):
         # v => a | b, a => !g, b => !g: v excludes g through a case split.
         v, a, b, g = 1, 2, 3, 4
         formula = CnfFormula(num_vars=4, clauses=((-v, a, b), (-a, -g), (-b, -g)))
@@ -111,27 +101,28 @@ class TestExtractionRoutes:
         _, relations = extract_strong_relations(formula)
         assert relations[v].conflicts_with == frozenset({g})
         assert relations[g].conflicts_with == frozenset({v, a, b})
-        assert ((v, g), Status.UNSAT) in pair_queries
+        assert ((v, g), Status.UNSAT) in pair_queries(solve_log)
 
-    def test_propagated_relations_need_no_query(self, pair_queries):
+    def test_propagated_relations_need_no_query(self, solve_log):
         # 3 => 2 => 1 and 3 => !4: binary clauses, so every relation that
         # holds follows from unit propagation and every query is a refutation.
         formula = CnfFormula(num_vars=4, clauses=((-2, 1), (-3, 2), (-3, -4)))
         graphs = compute_strong_graphs(formula)
         assert graphs.dep_arcs == frozenset({(2, 1), (3, 1), (3, 2)})
         assert graphs.conflict_edges == frozenset({(3, 4)})
-        assert pair_queries
-        assert all(status is Status.SAT for _, status in pair_queries)
+        pairs = pair_queries(solve_log)
+        assert pairs
+        assert all(status is Status.SAT for _, status in pairs)
 
-    def test_witnesses_prune_across_features(self, pair_queries):
+    def test_witnesses_prune_across_features(self, solve_log):
         # n free features: all 2n(n-1) candidate relations are refuted, by
         # a number of queries that grows linearly, not with the pairs.
         n = 20
         _, relations = extract_strong_relations(CnfFormula(num_vars=n, clauses=()))
         assert all(rel == StrongRelations(frozenset(), frozenset()) for rel in relations.values())
-        assert len(pair_queries) <= 2 * n
+        assert len(pair_queries(solve_log)) <= 2 * n
 
-    def test_backbone_models_refute_without_a_query(self, monkeypatch, pair_queries):
+    def test_backbone_models_refute_without_a_query(self, monkeypatch, solve_log):
         # The backbone's models are witnesses too: no pair query asks about
         # a candidate one of them refutes, and some candidate is refuted
         # by them alone.
@@ -150,7 +141,7 @@ class TestExtractionRoutes:
         def refuted(v, g, conflict):
             return any(mask >> v & 1 and (mask >> g & 1) == conflict for mask in found)
 
-        queried = {(v, abs(g), g > 0) for (v, g), _ in pair_queries}
+        queried = {(v, abs(g), g > 0) for (v, g), _ in pair_queries(solve_log)}
         assert all(not refuted(*query) for query in queried)
         assert any(
             refuted(v, g, conflict)
@@ -160,7 +151,7 @@ class TestExtractionRoutes:
             if v != g
         )
 
-    def test_soft_chunk_keeps_what_a_walk_can_add(self, monkeypatch):
+    def test_soft_chunk_keeps_what_a_walk_can_add(self, solve_log):
         # 6 is core, so propagation settles it and pays for a chunk. The
         # first model sets every other variable false, and the chunk asks
         # for the candidates for false, 1, 2, 3, 4, 5 and 7, as the mask of
@@ -168,18 +159,11 @@ class TestExtractionRoutes:
         # clauses over 4 and 5 false with every literal fixed, so it is
         # dropped; 4, 5 and 7 are kept. The answer is SAT, refutes all but
         # 3, and a single query settles 3.
-        made = []
-        solve = SatEngine.solve
-
-        def recording(self, assumptions=(), soft=(0, 0)):
-            outcome = solve(self, assumptions, soft)
-            made.append((tuple(assumptions), tuple(soft), outcome.status, outcome.model))
-            return outcome
-
-        monkeypatch.setattr(SatEngine, "solve", recording)
         excluded = tuple((-1, -2, -3, y, z) for y in (4, -4) for z in (5, -5))
         formula = CnfFormula(num_vars=7, clauses=excluded + ((6,), (-7, 1)))
         backbone = compute_backbone(SatEngine(formula))
+        made = [(assumptions, soft, outcome.status, outcome.model)
+                for assumptions, soft, outcome in solve_log]
         chunk_model = sum(1 << v for v in (1, 2, 4, 5, 6, 7))
         assert made[0] == ((), (0, 0), Status.SAT, 1 << 6)
         wanted = sum(1 << v for v in (1, 2, 3, 4, 5, 7))
@@ -189,6 +173,28 @@ class TestExtractionRoutes:
         classification, relations = extract_strong_relations(formula)
         assert (classification, relations) == tt_strong_relations(formula)
         assert relations[7].depends_on == frozenset({1})
+
+    def test_chunk_refutes_both_kinds_at_once(self, monkeypatch, solve_log):
+        # 1 is core and 2 | 3 holds; 4..11 are free. The first model sets
+        # one of 2 and 3 true, so the backbone has candidates for true and
+        # for false beyond 1, which propagation confirms and so pays for a
+        # chunk. That chunk asks about both kinds in one query. No call of
+        # _forced makes more solves than it has candidates.
+        calls = []
+        forced = strong_graphs._forced
+
+        def counting(engine, assumptions, true_open, false_open, witness):
+            before = len(solve_log)
+            result = forced(engine, assumptions, true_open, false_open, witness)
+            calls.append(((true_open | false_open).bit_count(), len(solve_log) - before))
+            return result
+
+        monkeypatch.setattr(strong_graphs, "_forced", counting)
+        formula = CnfFormula(num_vars=11, clauses=((1,), (2, 3)))
+        classification, relations = extract_strong_relations(formula)
+        assert any(true_mask and false_mask for _, (true_mask, false_mask), _ in solve_log)
+        assert (classification, relations) == tt_strong_relations(formula)
+        assert calls and all(solves <= candidates for candidates, solves in calls)
 
     @pytest.mark.parametrize("num_vars", [1, 6, 30])
     def test_one_engine_whatever_the_feature_count(self, monkeypatch, num_vars):
