@@ -302,7 +302,9 @@ def analyze_corpus(
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     if jobs > 1 and len(manifest.entries) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # The pool forks all its workers at the first task, so ask for no
+        # more than there are models.
+        with ProcessPoolExecutor(max_workers=min(jobs, len(manifest.entries))) as pool:
             outcomes = list(pool.map(
                 _analyze_entry, manifest.entries,
                 repeat(threshold_pct), repeat(out_dir),

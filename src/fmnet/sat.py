@@ -26,7 +26,8 @@ derives from the formula and the assumptions leaves it as masks too, one of
 the variables set true and one of those set false. Soft literals come in
 as such a pair, the variables wanted true and those wanted false, so a
 caller builds no list of literals. ``members`` lists the variables of a
-mask, and other modules decode masks only through it.
+mask. The extractor decodes masks through it; the enumeration oracle
+decodes its own on purpose, so that it shares no code with the extractor.
 """
 
 from __future__ import annotations

@@ -10,21 +10,20 @@ symmetric and collapse to undirected edges.
 
 Both questions are one question under different assumptions: what does
 selecting nothing, or selecting v, force? ``_forced`` answers it on one
-incremental solver per model, each candidate by the cheapest route that
-works. Unit propagation from the formula and the assumptions confirms every
-candidate it derives, the literals the formula fixes at the root included,
-without a query. Every model the solver returns is a witness: it refutes
-the candidates it disagrees with, for the feature at hand and, through the
-caller's ``witness``, for every feature it selects. A chunk query passes
-every open candidate, for true and for false alike, negated, as soft
-literals: its model keeps as many as the solver's walk can add and refutes
-them all, and it is never unsatisfiable. Only what is left gets a query of
-its own, the assumptions plus the candidate negated, which is unsatisfiable
-exactly when the candidate is forced. The backbone's models are replayed as
-witnesses before the per-feature search. Chunking follows Janota, Lynce &
-Marques-Silva, "Algorithms for computing backbones of propositional
-formulae" (AI Communications 28(2), 2015), with soft literals in place of
-selector variables.
+incremental solver per model. Unit propagation from the formula and the
+assumptions confirms every candidate it derives, the literals the formula
+fixes at the root included, without a query. Every other candidate is
+settled by one query shape: the assumptions plus the candidate negated,
+which is unsatisfiable exactly when the candidate is forced, with every
+other open candidate negated as a soft literal. A model keeps as many soft
+literals as the solver's walk can add and so refutes the candidate and all
+of those at once; through the caller's ``witness`` it also refutes the
+candidates of every feature it selects. The backbone's models are replayed
+as witnesses before the per-feature search. Refuting many candidates with
+one model follows the chunking of Janota, Lynce & Marques-Silva,
+"Algorithms for computing backbones of propositional formulae" (AI
+Communications 28(2), 2015), with soft literals in place of selector
+variables.
 """
 
 from __future__ import annotations
@@ -124,15 +123,14 @@ def _forced(
     candidates to settle; the result holds the masks of those forced true
     and forced false. Every model found is passed to ``witness``.
 
-    Before the single queries, chunk queries may refute many candidates of
-    both kinds at once: the assumptions, with every open candidate negated
-    as a soft literal, passed to the engine as masks with no list built
-    (the candidates for false as the mask of variables wanted true, those
-    for true as the mask wanted false). A chunk is tried only while the
-    candidates settled without a query of their own outnumber the chunks
-    tried, so the solves never outnumber the candidates. The chunks stop
-    when two candidates or fewer are open or a chunk refutes nothing; then
-    each candidate still open, in variable order, gets a query of its own.
+    Propagation settles what it derives without a query. Each query then
+    adds the highest open candidate, negated, to the assumptions, and
+    passes every open candidate negated as a soft literal, as masks with no
+    list built (the candidates for false as the mask of variables wanted
+    true, those for true as the mask wanted false). An UNSAT answer proves
+    the assumed candidate forced; a model refutes it and every candidate
+    whose soft literal the walk kept. Each query settles its assumed
+    candidate, so the solves never outnumber the candidates.
     """
     forced_true = forced_false = 0
     if true_open | false_open:
@@ -141,35 +139,21 @@ def _forced(
         forced_true, forced_false = true_open & implied_true, false_open & implied_false
         true_open ^= forced_true
         false_open ^= forced_false
-    saved, spent = (forced_true | forced_false).bit_count(), 0
-    # Over two candidates or fewer, a chunk saves at most one query and
-    # costs one more when it refutes none.
-    while saved > spent and (true_open | false_open).bit_count() > 2:
-        spent += 1
-        # SAT, since the assumptions are satisfiable and soft literals
-        # never make an answer UNSAT.
-        model = engine.solve(assumptions, (false_open, true_open)).model
-        witness(model)
-        refuted = ((true_open & ~model) | (false_open & model)).bit_count()
-        if not refuted:
-            break
-        saved += refuted
-        true_open &= model
-        false_open &= ~model
-    for g in members(true_open | false_open):
+    while true_open | false_open:
+        g = (true_open | false_open).bit_length() - 1
         bit = 1 << g
-        if not (true_open | false_open) & bit:
-            continue  # refuted by a model found since the loop began
         lit = -g if true_open & bit else g
-        outcome = engine.solve((*assumptions, lit))
+        outcome = engine.solve((*assumptions, lit), (false_open, true_open))
         if outcome.status is Status.SAT:
             witness(outcome.model)
             true_open &= outcome.model
             false_open &= ~outcome.model
         elif lit < 0:
             forced_true |= bit
+            true_open ^= bit
         else:
             forced_false |= bit
+            false_open ^= bit
     return forced_true, forced_false
 
 

@@ -89,12 +89,14 @@ class TestComputeBackbone:
             backbone = compute_backbone(SatEngine(formula))
             assert backbone.sat_calls <= num_vars + 1
 
-    def test_chunks_keep_the_call_budget(self, solve_log):
-        # Unit clauses settle candidates by propagation, which pays for
-        # chunk queries (several candidates at once, as soft literals).
-        # Without a unit clause nothing pays for one. The budget above
-        # holds, and soft literals never make a chunk UNSAT.
+    def test_queries_keep_the_call_budget(self, solve_log):
+        # Unit clauses settle candidates by propagation, without a query.
+        # Every query after the first model asks about one candidate, its
+        # one assumption, with the other open candidates as soft literals;
+        # soft literals never change the answer, so it is UNSAT exactly
+        # when the assumption's negation is a backbone literal.
         rng = random.Random(2015)
+        answers = []
         for _ in range(300):
             num_vars = rng.randint(4, 14)
             while True:
@@ -104,11 +106,15 @@ class TestComputeBackbone:
                 formula = CnfFormula(num_vars=num_vars, clauses=base.clauses + units)
                 if truth_table_mask(formula):
                     break
+            solve_log.clear()
             backbone = compute_backbone(SatEngine(formula))
             assert backbone.literals == tt_backbone_literals(formula)
             assert backbone.sat_calls <= num_vars + 1
-        chunks = [outcome.status for _, soft, outcome in solve_log if soft != (0, 0)]
-        assert chunks.count(Status.SAT) > 100 and chunks.count(Status.UNSAT) == 0
+            for assumptions, _, outcome in solve_log[1:]:
+                (lit,) = assumptions
+                assert (outcome.status is Status.UNSAT) == (-lit in backbone.literals)
+                answers.append(outcome.status)
+        assert answers.count(Status.SAT) > 100 and answers.count(Status.UNSAT) > 100
 
     def test_counts_only_its_own_solves(self):
         engine = SatEngine(CnfFormula(num_vars=3, clauses=((1,), (-1, 2))))
@@ -122,8 +128,7 @@ class TestComputeBackbone:
         # Each mask is a model of the formula, and there is one per SAT
         # answer. Each backbone literal takes one single-literal UNSAT
         # answer, except those fixed at the root once the first model is
-        # found: propagation confirms them without a solve. A chunk query
-        # (soft literals) is never UNSAT.
+        # found: propagation confirms them without a solve.
         rng = random.Random(31)
         for _ in range(100):
             num_vars = rng.randint(1, 12)
@@ -144,7 +149,7 @@ class TestComputeBackbone:
 
     def test_no_query_for_a_refuted_candidate(self, solve_log):
         # Each model found refutes every candidate it disagrees with, so no
-        # literal of a later query, a chunk query's soft literals included,
+        # literal of a later query, its soft literals included,
         # asks about one of those; some queries are saved.
         rng = random.Random(55)
         saved = 0

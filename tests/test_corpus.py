@@ -319,6 +319,35 @@ class TestAnalyzeCorpus:
         manifest = load_manifest(self.build(tmp_path))
         assert analyze_corpus(manifest) == analyze_corpus(manifest, jobs=4)
 
+    def test_workers_capped_at_the_model_count(self, tmp_path, monkeypatch):
+        # An in-process stand-in for the pool, so no process starts.
+        asked = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            map = staticmethod(map)
+
+        monkeypatch.setattr(fmnet.corpus, "ProcessPoolExecutor", InProcessPool)
+        (tmp_path / "a.fm").write_text(SMALL_FM, "utf-8")
+        (tmp_path / "b.cnf").write_text(SMALL_DIMACS, "utf-8")
+        (tmp_path / "c.fm").write_text(coreboot_graphics_text(), "utf-8")
+        manifest = load_manifest(write_corpus(tmp_path, [
+            ("a", "a.fm", "fm", "systems"),
+            ("b", "b.cnf", "dimacs", "systems"),
+            ("c", "c.fm", "fm", "systems"),
+        ]))
+        result = analyze_corpus(manifest, jobs=64)
+        assert asked == [3]
+        assert [r.model_id for r in result.records] == ["a", "b", "c"]
+
 
 class TestArgumentsCheckedFirst:
     """A bad threshold or job count is an error before any model is read,

@@ -1,7 +1,7 @@
 """Metamorphic checks of extraction on models too large for the oracles.
 
 The enumeration oracle stops at 25 variables, but which model a query
-starts from, which soft literal a chunk takes first and which features are
+starts from, which soft literal a query takes first and which features are
 still open all depend on order, so an order-dependent bug could show only
 on large models. Each check here changes a 1,000-feature Kconfig-shaped
 model in a way that, by the definitions, leaves its classification and

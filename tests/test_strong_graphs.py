@@ -151,35 +151,35 @@ class TestExtractionRoutes:
             if v != g
         )
 
-    def test_soft_chunk_keeps_what_a_walk_can_add(self, solve_log):
-        # 6 is core, so propagation settles it and pays for a chunk. The
-        # first model sets every other variable false, and the chunk asks
-        # for the candidates for false, 1, 2, 3, 4, 5 and 7, as the mask of
-        # soft literals wanted true. The walk keeps 1 and 2; 3 would make one of the four
-        # clauses over 4 and 5 false with every literal fixed, so it is
-        # dropped; 4, 5 and 7 are kept. The answer is SAT, refutes all but
-        # 3, and a single query settles 3.
+    def test_soft_literals_keep_what_a_walk_can_add(self, solve_log):
+        # 6 is core, so propagation settles it without a query. The first
+        # model sets every other variable false, and the next query assumes
+        # the highest candidate for false, 7, with 1, 2, 3, 4, 5 and 7 as
+        # the mask of soft literals wanted true. The walk keeps 1 and 2; 3
+        # would make one of the four clauses over 4 and 5 false with every
+        # literal fixed, so it is dropped; 4 and 5 are kept. The answer is
+        # SAT, refutes all but 3, and a last query settles 3.
         excluded = tuple((-1, -2, -3, y, z) for y in (4, -4) for z in (5, -5))
         formula = CnfFormula(num_vars=7, clauses=excluded + ((6,), (-7, 1)))
         backbone = compute_backbone(SatEngine(formula))
         made = [(assumptions, soft, outcome.status, outcome.model)
                 for assumptions, soft, outcome in solve_log]
-        chunk_model = sum(1 << v for v in (1, 2, 4, 5, 6, 7))
+        kept = sum(1 << v for v in (1, 2, 4, 5, 6, 7))
         assert made[0] == ((), (0, 0), Status.SAT, 1 << 6)
         wanted = sum(1 << v for v in (1, 2, 3, 4, 5, 7))
-        assert made[1] == ((), (wanted, 0), Status.SAT, chunk_model)
-        assert [(query, soft) for query, soft, _, _ in made[2:]] == [((3,), (0, 0))]
+        assert made[1] == ((7,), (wanted, 0), Status.SAT, kept)
+        assert [(query, soft) for query, soft, _, _ in made[2:]] == [((3,), (1 << 3, 0))]
         assert backbone.literals == frozenset({6})
         classification, relations = extract_strong_relations(formula)
         assert (classification, relations) == tt_strong_relations(formula)
         assert relations[7].depends_on == frozenset({1})
 
-    def test_chunk_refutes_both_kinds_at_once(self, monkeypatch, solve_log):
+    def test_a_query_refutes_both_kinds_at_once(self, monkeypatch, solve_log):
         # 1 is core and 2 | 3 holds; 4..11 are free. The first model sets
         # one of 2 and 3 true, so the backbone has candidates for true and
-        # for false beyond 1, which propagation confirms and so pays for a
-        # chunk. That chunk asks about both kinds in one query. No call of
-        # _forced makes more solves than it has candidates.
+        # for false beyond 1, and one query carries both kinds as soft
+        # literals. No call of _forced makes more solves than it has
+        # candidates.
         calls = []
         forced = strong_graphs._forced
 
