@@ -7,18 +7,24 @@ understood as a disjunction; a formula is a conjunction of clauses.
 Variable names ride along in an optional map from index to name. The DIMACS
 form carries them as ``c <index> <name>`` comment lines, which may appear
 before or after the problem line, so a name is one token without whitespace.
+It holds only characters of XML 1.0 (no C0 control, U+FFFE, U+FFFF or lone
+surrogate), so that the GraphML export stays well-formed.
 Unnamed variables fall back to ``v<index>``, so no other variable may take
 that name while variable <index> has none.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 from .errors import DimacsError
 
 Clause = tuple[int, ...]
+
+# Not in XML 1.0; it has tab, LF and CR, but a name holds no whitespace.
+_NOT_XML_CHAR = re.compile("[\x00-\x1f\ud800-\udfff\ufffe\uffff]")
 
 
 def _integer(token: str) -> int | None:
@@ -55,12 +61,14 @@ def normalize_clause(literals: Iterable[int]) -> Clause | None:
     return tuple(out)
 
 
-def _name_clash(names: Mapping[int, str], num_vars: int) -> tuple[int, str] | None:
-    """The first name, in the map's order, that repeats an earlier one or is
-    the fallback name ``v<k>`` of an unnamed variable k, with the reason;
-    None when the names clash nowhere."""
+def _name_fault(names: Mapping[int, str], num_vars: int) -> tuple[int, str] | None:
+    """The first name, in the map's order, that holds a character outside
+    XML 1.0, repeats an earlier one or is the fallback name ``v<k>`` of an
+    unnamed variable k, with the reason; None when no name is at fault."""
     by_name: dict[str, int] = {}
     for index, name in names.items():
+        if _NOT_XML_CHAR.search(name):
+            return index, f"name {name!r} of variable {index} holds a character outside XML"
         if name in by_name:
             return index, f"name {name!r} used for variables {by_name[name]} and {index}"
         by_name[name] = index
@@ -101,9 +109,9 @@ class CnfFormula:
                 raise ValueError(f"name index {index} out of range")
             if name.split() != [name]:  # DIMACS carries a name as one token
                 raise ValueError(f"name {name!r} of variable {index} is not one token")
-        clash = _name_clash(self.names, self.num_vars)
-        if clash is not None:
-            raise ValueError(clash[1])
+        fault = _name_fault(self.names, self.num_vars)
+        if fault is not None:
+            raise ValueError(fault[1])
 
     def name_of(self, var: int) -> str:
         return self.names.get(var, f"v{var}")
@@ -196,9 +204,9 @@ def parse_dimacs(text: str) -> CnfFormula:
             raise DimacsError(f"duplicate name comment for variable {index}", line_no)
         names[index] = name
         name_lines[index] = line_no
-    clash = _name_clash(names, num_vars)
-    if clash is not None:
-        raise DimacsError(clash[1], name_lines[clash[0]])
+    fault = _name_fault(names, num_vars)
+    if fault is not None:
+        raise DimacsError(fault[1], name_lines[fault[0]])
 
     return CnfFormula(
         num_vars=num_vars, clauses=tuple(clauses), names=names, trivially_unsat=trivially_unsat

@@ -16,7 +16,6 @@ from __future__ import annotations
 import csv
 import json
 import traceback
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
@@ -302,6 +301,8 @@ def analyze_corpus(
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     if jobs > 1 and len(manifest.entries) > 1:
+        from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
+
         # The pool forks all its workers at the first task, so ask for no
         # more than there are models.
         with ProcessPoolExecutor(max_workers=min(jobs, len(manifest.entries))) as pool:

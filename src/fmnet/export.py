@@ -14,10 +14,15 @@ GraphML keeps everything in one directed graph and relies on the
 from __future__ import annotations
 
 import json
-from xml.sax.saxutils import escape
 
 from .errors import InputSyntaxError
 from .strong_graphs import FeatureClassification, StrongGraphs
+
+
+def _escape(text: str) -> str:
+    """``xml.sax.saxutils.escape`` without its import of the network stack."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
+
 
 def _quote_dot(name: str) -> str:
     return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
@@ -62,7 +67,7 @@ def _to_graphml(graphs: StrongGraphs) -> str:
     for v in sorted(graphs.nodes):
         lines.append(
             f'    <node id="n{v}"><data key="label">'
-            f"{escape(graphs.name_of(v))}</data></node>"
+            f"{_escape(graphs.name_of(v))}</data></node>"
         )
     for source, target in sorted(graphs.dep_arcs):
         lines.append(

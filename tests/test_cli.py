@@ -95,6 +95,15 @@ class TestAnalyze:
         (line,) = capsys.readouterr().err.splitlines()
         assert line == "error: line 2: name 'A' used for variables 1 and 2"
 
+    def test_name_outside_xml_is_input_error(self, tmp_path, capsys):
+        path = tmp_path / "ctl.cnf"
+        path.write_text("p cnf 2 1\nc 1 x\x01y\n1 2 0\n", "utf-8")
+        out = tmp_path / "o"
+        assert cli.main(["analyze", str(path), "--out", str(out)]) == cli.EXIT_INPUT_ERROR
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line == "error: line 2: name 'x\\x01y' of variable 1 holds a character outside XML"
+        assert not out.exists()
+
     def test_deep_constraint_is_input_error(self, tmp_path, capsys):
         path = tmp_path / "deep.fm"
         path.write_text(

@@ -62,6 +62,13 @@ class TestCnfFormula:
             return
         assert parse_dimacs(emit_dimacs(formula)) == formula
 
+    @pytest.mark.parametrize("name", [
+        "a\x00b", "A\x01", "\x08", "A\x1bB", "A\ud800", "\udfffB", "A\ufffe", "A\uffffB",
+    ])
+    def test_name_must_hold_only_xml_characters(self, name):
+        with pytest.raises(ValueError, match="holds a character outside XML"):
+            CnfFormula(num_vars=2, clauses=((1,),), names={1: "A", 2: name})
+
     def test_name_must_not_be_an_unnamed_variables_fallback(self):
         # DOT, GraphML and nodes.csv would show variables 1 and 2 as one v2.
         with pytest.raises(ValueError, match="'v2' of variable 1 is the fallback name of unnamed variable 2"):
@@ -206,6 +213,19 @@ class TestParseDimacs:
     def test_fallback_shaped_name_comment_that_names_no_one_else(self, names):
         formula = parse_dimacs(f"{names}\np cnf 2 1\n1 0\n")
         assert len({formula.name_of(v) for v in formula.variables()}) == 2
+
+    @pytest.mark.parametrize("char", ["\x00", "\x01", "\x1b", "\ud800", "\ufffe", "\uffff"])
+    def test_name_outside_xml_carries_its_line(self, char):
+        name = f"x{char}y"
+        with pytest.raises(DimacsError) as error:
+            parse_dimacs(f"p cnf 2 1\nc 1 {name}\n1 2 0\n")
+        assert str(error.value) == (
+            f"line 2: name {name!r} of variable 1 holds a character outside XML"
+        )
+
+    def test_names_of_xml_characters_are_accepted(self):
+        formula = parse_dimacs('c 1 café\nc 2 A<B&C\nc 3 A"B\np cnf 3 1\n1 0\n')
+        assert formula.names == {1: "café", 2: "A<B&C", 3: 'A"B'}
 
     def test_dimacs_error_is_input_syntax_error(self):
         with pytest.raises(InputSyntaxError):

@@ -335,7 +335,7 @@ class TestAnalyzeCorpus:
 
             map = staticmethod(map)
 
-        monkeypatch.setattr(fmnet.corpus, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InProcessPool)
         (tmp_path / "a.fm").write_text(SMALL_FM, "utf-8")
         (tmp_path / "b.cnf").write_text(SMALL_DIMACS, "utf-8")
         (tmp_path / "c.fm").write_text(coreboot_graphics_text(), "utf-8")

@@ -4,6 +4,7 @@ scipy and networkx appear only in the tests, as independent cross-checks.
 """
 
 import ast
+import subprocess
 import sys
 from pathlib import Path
 
@@ -41,3 +42,22 @@ def test_pyproject_declares_no_runtime_dependencies():
         tomllib = pytest.importorskip("tomli")
     project = tomllib.loads((REPO / "pyproject.toml").read_text("utf-8"))["project"]
     assert project.get("dependencies", []) == []
+
+
+def test_import_loads_no_network_stack_or_process_pool():
+    # A corpus run is many short processes, and each pays for what the
+    # import loads. Only what the import adds counts, not what site loads.
+    script = (
+        f"import sys; sys.path.insert(0, {str(REPO / 'src')!r}); "
+        "before = set(sys.modules); import fmnet, fmnet.corpus, fmnet.cli; "
+        "print(*sorted(set(sys.modules) - before))"
+    )
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    added = set(run.stdout.split())
+    assert "fmnet.cli" in added
+    unwanted = {
+        "urllib.request", "http", "email", "ssl", "xml", "multiprocessing",
+        "concurrent.futures.process",
+    }
+    assert sorted(added & unwanted) == []

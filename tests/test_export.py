@@ -2,14 +2,17 @@ import io
 import json
 import random
 import xml.etree.ElementTree as ElementTree
+from xml.sax import saxutils
 
 import networkx
 import pytest
 
 from conftest import random_satisfiable_cnf
 from fmnet.cnf import CnfFormula, parse_dimacs
-from fmnet.export import export_graph, graphs_from_json
+from fmnet.export import _escape, export_graph, graphs_from_json
 from fmnet.strong_graphs import FeatureClassification, StrongGraphs, compute_strong_graphs
+
+GRAPHML = "{http://graphml.graphdrawing.org/xmlns}"
 
 # 1 core; 3 requires 2; 4 excludes 2 and 3.
 DEMO = CnfFormula(
@@ -148,6 +151,32 @@ class TestGraphml:
         text = export_graph(compute_strong_graphs(formula), "graphml")
         assert "A&lt;B&amp;C" in text
         ElementTree.fromstring(text)
+
+    def test_escape_matches_saxutils(self):
+        # The package escapes on its own: saxutils imports urllib.request.
+        rng = random.Random(2471)
+        alphabet = "&<>\"';#abcXYZ é漢€\U0001f600"
+        texts = ["", "&amp;", "&&<<>>"] + [
+            "".join(rng.choices(alphabet, k=rng.randint(0, 24))) for _ in range(2000)
+        ]
+        assert [_escape(text) for text in texts] == [saxutils.escape(text) for text in texts]
+
+    def test_every_accepted_name_gives_well_formed_xml(self):
+        chars = [chr(i) for i in range(0x20)] + [
+            "\x7f", "\x85", "\ud800", "\udfff", "\ufffd", "\ufffe", "\uffff",
+            "\U00010000", "\U0010ffff", "é", "&", "<", ">", '"', "'",
+        ]
+        written = 0
+        for char in chars:
+            try:
+                formula = CnfFormula(num_vars=2, clauses=((1, 2),), names={1: f"A{char}B"})
+            except ValueError:
+                continue
+            root = ElementTree.fromstring(export_graph(compute_strong_graphs(formula), "graphml"))
+            labels = [d.text for d in root.iter(GRAPHML + "data") if d.get("key") == "label"]
+            assert labels == [f"A{char}B", "v2"]
+            written += 1
+        assert written == 10
 
 
 class TestJson:
