@@ -61,12 +61,14 @@ def normalize_clause(literals: Iterable[int]) -> Clause | None:
     return tuple(out)
 
 
-def _name_fault(names: Mapping[int, str], num_vars: int) -> tuple[int, str] | None:
-    """The first name, in the map's order, that holds a character outside
-    XML 1.0, repeats an earlier one or is the fallback name ``v<k>`` of an
+def name_fault(names: Mapping[int, str], num_vars: int) -> tuple[int, str] | None:
+    """The first name, in the map's order, that is not one token of XML 1.0
+    characters, repeats an earlier one or is the fallback name ``v<k>`` of an
     unnamed variable k, with the reason; None when no name is at fault."""
     by_name: dict[str, int] = {}
     for index, name in names.items():
+        if name.split() != [name]:  # DIMACS carries a name as one token
+            return index, f"name {name!r} of variable {index} is not one token"
         if _NOT_XML_CHAR.search(name):
             return index, f"name {name!r} of variable {index} holds a character outside XML"
         if name in by_name:
@@ -104,13 +106,10 @@ class CnfFormula:
             for lit in clause:
                 if not 1 <= abs(lit) <= self.num_vars:
                     raise ValueError(f"literal {lit} out of range 1..{self.num_vars}")
-        for index, name in self.names.items():
+        for index in self.names:
             if not 1 <= index <= self.num_vars:
                 raise ValueError(f"name index {index} out of range")
-            if name.split() != [name]:  # DIMACS carries a name as one token
-                raise ValueError(f"name {name!r} of variable {index} is not one token")
-        fault = _name_fault(self.names, self.num_vars)
-        if fault is not None:
+        if fault := name_fault(self.names, self.num_vars):
             raise ValueError(fault[1])
 
     def name_of(self, var: int) -> str:
@@ -204,8 +203,7 @@ def parse_dimacs(text: str) -> CnfFormula:
             raise DimacsError(f"duplicate name comment for variable {index}", line_no)
         names[index] = name
         name_lines[index] = line_no
-    fault = _name_fault(names, num_vars)
-    if fault is not None:
+    if fault := name_fault(names, num_vars):
         raise DimacsError(fault[1], name_lines[fault[0]])
 
     return CnfFormula(

@@ -100,6 +100,14 @@ class CorpusResult:
     tests: dict[str, dict[str, WilcoxonResult]]
 
 
+def validate_model_id(model_id: str, line: int | None = None) -> None:
+    """Refuse an id that cannot name a model's directory next to the corpus tables."""
+    if model_id in ("", ".", "..") or any(c in model_id for c in "/\\\0"):
+        raise InputSyntaxError(f"model id {model_id!r} is not a plain directory name", line)
+    if model_id in CORPUS_TABLES:
+        raise InputSyntaxError(f"model id {model_id!r} names a corpus table", line)
+
+
 def load_manifest(path: str | Path) -> CorpusManifest:
     """Read and validate a manifest CSV; all referenced paths must exist."""
     path = Path(path)
@@ -107,35 +115,33 @@ def load_manifest(path: str | Path) -> CorpusManifest:
     seen = set()
     with path.open(newline="", encoding="utf-8-sig") as handle:
         reader = csv.DictReader(handle)
-        required = {"id", "path", "format", "domain"}
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-            raise InputSyntaxError(
-                f"manifest must have columns id,path,format,domain; got {reader.fieldnames}"
-            )
-        for row in reader:
-            row_no = reader.line_num  # a quoted field may span lines
-            if None in row.values():  # csv pads a short row with None
-                raise InputSyntaxError("row has fewer columns than the header", row_no)
-            model_id = row["id"].strip()
-            # The id names the model's directory under the output directory.
-            if model_id in ("", ".", "..") or "/" in model_id or "\\" in model_id:
+        try:
+            required = {"id", "path", "format", "domain"}
+            if reader.fieldnames is None or not required.issubset(reader.fieldnames):
                 raise InputSyntaxError(
-                    f"model id {model_id!r} is not a plain directory name", row_no
+                    f"manifest must have columns id,path,format,domain; got {reader.fieldnames}"
                 )
-            if model_id in CORPUS_TABLES:
-                raise InputSyntaxError(f"model id {model_id!r} names a corpus table", row_no)
-            if model_id in seen:
-                raise InputSyntaxError(f"duplicate model id {model_id!r}", row_no)
-            seen.add(model_id)
-            fmt = row["format"].strip()
-            if fmt not in FORMATS:
-                raise InputSyntaxError(
-                    f"unknown format {fmt!r}; expected one of {FORMATS}", row_no
-                )
-            model_path = (path.parent / row["path"].strip()).resolve()
-            if not model_path.is_file():
-                raise InputSyntaxError(f"model file not found: {model_path}", row_no)
-            entries.append(ManifestEntry(model_id, model_path, fmt, row["domain"].strip()))
+            for row in reader:
+                row_no = reader.line_num  # a quoted field may span lines
+                if None in row.values():  # csv pads a short row with None
+                    raise InputSyntaxError("row has fewer columns than the header", row_no)
+                model_id = row["id"].strip()
+                validate_model_id(model_id, row_no)
+                if model_id in seen:
+                    raise InputSyntaxError(f"duplicate model id {model_id!r}", row_no)
+                seen.add(model_id)
+                fmt = row["format"].strip()
+                if fmt not in FORMATS:
+                    raise InputSyntaxError(
+                        f"unknown format {fmt!r}; expected one of {FORMATS}", row_no
+                    )
+                model_path = (path.parent / row["path"].strip()).resolve()
+                if not model_path.is_file():
+                    raise InputSyntaxError(f"model file not found: {model_path}", row_no)
+                entries.append(ManifestEntry(model_id, model_path, fmt, row["domain"].strip()))
+        except csv.Error as error:  # a field over csv's size limit; NUL before 3.11
+            line = reader.reader.line_num  # DictReader's own count lags on a failed row
+            raise InputSyntaxError(f"not a CSV manifest: {error}", line) from error
     if not entries:
         raise InputSyntaxError(f"manifest {path} lists no models")
     return CorpusManifest(tuple(entries))
@@ -183,6 +189,8 @@ def analyze_model(
     path = Path(path)
     if model_id is None:
         model_id = path.stem
+    if out_dir is not None:
+        validate_model_id(model_id)
     formula = load_formula(path, fmt)
     graphs = compute_strong_graphs(formula)
     metrics = compute_model_metrics(graphs, threshold_pct, model_id)

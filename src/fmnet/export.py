@@ -4,7 +4,8 @@ All three forms carry the same information: nodes labeled with feature
 names, directed dependency arcs tagged ``requires``, and one element per
 conflict pair tagged ``excludes``. Element order is deterministic (sorted
 by feature index) so exports diff cleanly. The JSON form also includes the
-core/dead classification and round-trips through ``graphs_from_json``.
+core/dead classification and round-trips through ``graphs_from_json``,
+which holds its names to the DIMACS name rule of ``fmnet.cnf``.
 
 DOT renders conflict pairs with ``dir=none`` so they draw as undirected;
 GraphML keeps everything in one directed graph and relies on the
@@ -13,8 +14,10 @@ GraphML keeps everything in one directed graph and relies on the
 
 from __future__ import annotations
 
+import functools
 import json
 
+from .cnf import name_fault
 from .errors import InputSyntaxError
 from .strong_graphs import FeatureClassification, StrongGraphs
 
@@ -28,27 +31,15 @@ def _quote_dot(name: str) -> str:
     return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-class _QuotedNames(dict):
-    """Each feature's quoted DOT name, made on first use."""
-
-    def __init__(self, graphs: StrongGraphs):
-        super().__init__()
-        self.graphs = graphs
-
-    def __missing__(self, var: int) -> str:
-        quoted = self[var] = _quote_dot(self.graphs.name_of(var))
-        return quoted
-
-
 def _to_dot(graphs: StrongGraphs) -> str:
-    quoted = _QuotedNames(graphs)
+    quoted = functools.cache(lambda v: _quote_dot(graphs.name_of(v)))
     lines = ["digraph strong_graphs {"]
     for v in sorted(graphs.nodes):
-        lines.append(f"    {quoted[v]} [index={v}];")
+        lines.append(f"    {quoted(v)} [index={v}];")
     for source, target in sorted(graphs.dep_arcs):
-        lines.append(f"    {quoted[source]} -> {quoted[target]} [relation=requires];")
+        lines.append(f"    {quoted(source)} -> {quoted(target)} [relation=requires];")
     for a, b in sorted(graphs.conflict_edges):
-        lines.append(f"    {quoted[a]} -> {quoted[b]} [dir=none, relation=excludes];")
+        lines.append(f"    {quoted(a)} -> {quoted(b)} [dir=none, relation=excludes];")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -126,7 +117,8 @@ def export_graph(graphs: StrongGraphs, fmt: str) -> str:
 def graphs_from_json(text: str) -> StrongGraphs:
     """Rebuild a StrongGraphs artifact from its JSON export.
 
-    Raises InputSyntaxError for text that is not such an export.
+    Raises InputSyntaxError for text that is not such an export, including
+    one whose names break the DIMACS name rule (``cnf.name_fault``).
     """
     try:
         payload = json.loads(text)
@@ -147,8 +139,8 @@ def graphs_from_json(text: str) -> StrongGraphs:
             groups[key] = frozenset(indices)
         if not sum(len(payload[key]) for key in groups) == len(names) == num_vars:
             raise ValueError(f"nodes, core and dead do not partition 1..{num_vars}")
-        if len(set(names.values())) != num_vars:
-            raise ValueError("two features share a name")
+        if fault := name_fault(names, num_vars):
+            raise ValueError(fault[1])
         arcs, edges = (
             frozenset((a, b) for a, b in payload[key]) for key in ("arcs", "conflict_edges")
         )

@@ -104,6 +104,17 @@ class TestAnalyze:
         assert line == "error: line 2: name 'x\\x01y' of variable 1 holds a character outside XML"
         assert not out.exists()
 
+    @pytest.mark.parametrize("name, model_id", [("...cnf", ".."), ("..cnf", ".")])
+    def test_stem_that_names_no_directory_is_input_error(self, tmp_path, capsys, name, model_id):
+        # With --out the stem names the model's directory, by the manifest's id rule.
+        path = tmp_path / name
+        path.write_text(GOOD_DIMACS, "utf-8")
+        out = tmp_path / "tmp" / "o"
+        assert cli.main(["analyze", str(path), "--out", str(out)]) == cli.EXIT_INPUT_ERROR
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line == f"error: model id '{model_id}' is not a plain directory name"
+        assert not (tmp_path / "tmp").exists()
+
     def test_deep_constraint_is_input_error(self, tmp_path, capsys):
         path = tmp_path / "deep.fm"
         path.write_text(
@@ -209,6 +220,8 @@ class TestExport:
         _graphs_text(num_vars=3, nodes=[{"index": i, "name": n} for i, n in enumerate("ABC", 1)],
                      conflict_edges=[[2, 3], [3, 2]]),
         _graphs_text(nodes=[{"index": 1, "name": "A"}, {"index": 2, "name": "A"}]),
+        _graphs_text(nodes=[{"index": 1, "name": "a\u0001b"}, {"index": 2, "name": "B"}]),
+        _graphs_text(nodes=[{"index": 1, "name": "a b"}, {"index": 2, "name": "B"}]),
     ])
     def test_not_a_graphs_artifact(self, tmp_path, capsys, text):
         fmnet.graphs_from_json(_graphs_text())  # the sound base payload parses

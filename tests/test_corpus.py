@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 
 import pytest
 
@@ -145,6 +146,28 @@ class TestLoadManifest:
         with pytest.raises(InputSyntaxError, match="line 3: model id .* is not a plain directory"):
             load_manifest(manifest)
 
+    def test_id_must_not_hold_nul(self, tmp_path):
+        # Python 3.10's csv reader refuses the NUL itself; later ones leave it to the id rule.
+        (tmp_path / "a.fm").write_text(SMALL_FM, "utf-8")
+        manifest = write_corpus(tmp_path, [
+            ("ok", "a.fm", "fm", "x"),
+            ("b\0", "a.fm", "fm", "x"),
+        ])
+        with pytest.raises(InputSyntaxError, match=(
+            r"line 3: (model id 'b\\x00' is not a plain directory name"
+            r"|not a CSV manifest: line contains NUL)$"
+        )):
+            load_manifest(manifest)
+
+    def test_field_over_the_csv_limit(self, tmp_path):
+        (tmp_path / "a.fm").write_text(SMALL_FM, "utf-8")
+        manifest = write_corpus(tmp_path, [
+            ("ok", "a.fm", "fm", "x"),
+            ("big", "a.fm", "fm", "x" * 200_000),
+        ])
+        with pytest.raises(InputSyntaxError, match="line 3: not a CSV manifest: field larger"):
+            load_manifest(manifest)
+
     @pytest.mark.parametrize("model_id", ["corpus.csv", "domain_stats.csv", "tests.csv"])
     def test_id_must_not_name_a_corpus_table(self, tmp_path, model_id):
         # The corpus tables sit next to the model directories under --out.
@@ -188,6 +211,14 @@ class TestAnalyzeModel:
             "nodes.csv", "histograms.csv", "summary.json",
         }
         assert {p.name for p in model_dir.iterdir()} == expected
+
+    @pytest.mark.parametrize("model_id", ["..", "a/b", "corpus.csv", "b\0"])
+    def test_id_checked_before_the_model_is_read(self, tmp_path, model_id):
+        # The model file does not exist: a read would raise OSError.
+        out = tmp_path / "out"
+        with pytest.raises(InputSyntaxError, match=f"^model id {re.escape(repr(model_id))} "):
+            analyze_model(tmp_path / "ghost.fm", out_dir=out, model_id=model_id)
+        assert not out.exists()
 
     def test_void_model_raises(self, tmp_path):
         path = tmp_path / "void.fm"
