@@ -7,7 +7,8 @@ selecting one configurable feature forces on or off.
 """
 
 from fmnet.cnf import parse_dimacs
-from fmnet.sat import SatEngine, enumerate_models
+from fmnet.oracle import enumerate_models
+from fmnet.sat import SatEngine
 from fmnet.strong_graphs import compute_backbone, extract_strong_relations
 
 TEXT = """\

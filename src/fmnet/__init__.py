@@ -30,7 +30,7 @@ from .metrics import (
     degree_distribution,
 )
 from .oracle import Discrepancy, ValidationReport, oracle_strong_relations, validate_model
-from .sat import SatEngine, SatOutcome, Status, enumerate_models
+from .sat import SatEngine, SatOutcome, Status
 from .stats import (
     StatsSummary,
     WilcoxonResult,
@@ -86,7 +86,6 @@ __all__ = [
     "degree_distribution",
     "effect_label",
     "emit_dimacs",
-    "enumerate_models",
     "export_graph",
     "extract_strong_relations",
     "fm_to_cnf",

@@ -14,7 +14,7 @@ Subcommands:
   models only) and cross-check the extractor against them.
 
 Exit codes: 0 success, 1 reported disagreement (validate/oracle), 2 input or
-usage error, 3 void model (the formula has no configurations).
+usage error or out of memory, 3 void model (the formula has no configurations).
 """
 
 from __future__ import annotations
@@ -175,6 +175,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_VOID_MODEL
     except (FmnetError, OSError, ValueError) as error:
         print(f"error: {error}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return EXIT_INPUT_ERROR
 
 

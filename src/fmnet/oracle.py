@@ -2,9 +2,9 @@
 
 Two independent ways to double-check a strong-graphs artifact:
 
-- ``oracle_strong_relations`` enumerates every model of a small formula and
-  reads the relations straight off the model set. It never touches the
-  backbone machinery, so agreement with the extractor is meaningful.
+- ``oracle_strong_relations`` reads the relations straight off the model set
+  of a small formula, which its own DPLL, ``enumerate_models``, lists. It
+  shares no code with the solver or the extractor, so agreement is meaningful.
 - ``validate_model`` spot-checks a graphs artifact against the formula with
   plain assumption solves: each claimed relation must be entailed (the
   witness query is unsatisfiable) and each sampled absent relation must have
@@ -20,10 +20,11 @@ from __future__ import annotations
 import random
 from collections import defaultdict
 from dataclasses import dataclass
+from typing import Iterator
 
 from .cnf import CnfFormula
-from .errors import VoidModelError
-from .sat import SatEngine, Status, enumerate_models
+from .errors import EnumerationLimitError, VoidModelError
+from .sat import SatEngine, Status
 from .strong_graphs import FeatureClassification, StrongGraphs, StrongRelations
 
 _PARTIAL_ABSENCE_CAP = 10
@@ -46,6 +47,51 @@ _LISTED_AS = {"core": "listed as core", "dead": "listed as dead",
               "node": "listed as a configurable node"}
 
 
+def enumerate_models(formula: CnfFormula, var_limit: int = 25) -> Iterator[int]:
+    """Yield every model once, as the mask of the variables it sets true (bit
+    v for variable v), from a plain DPLL over (positive mask, negative mask)
+    clauses: unit propagation to a fixpoint, then both values of the lowest
+    free variable. Refuses more than ``var_limit`` variables, since the
+    model count can be exponential."""
+    if formula.num_vars > var_limit:
+        raise EnumerationLimitError(f"{formula.num_vars} variables; the limit is {var_limit}")
+    clauses = []
+    for clause in formula.clauses:
+        pos = sum(1 << lit for lit in set(clause) if lit > 0)
+        neg = sum(1 << -lit for lit in set(clause) if lit < 0)
+        if not pos & neg:  # a tautology holds in every model
+            clauses.append((pos, neg))
+    full_mask = (1 << (formula.num_vars + 1)) - 2
+    pending = [] if formula.trivially_unsat else [(0, 0)]  # (true mask, false mask)
+    while pending:
+        masks = _propagate(clauses, *pending.pop())
+        if masks is None:
+            continue
+        true, false = masks
+        free = full_mask & ~(true | false)
+        if free:
+            low = free & -free  # the lowest free variable
+            pending += [(true, false | low), (true | low, false)]
+        else:
+            yield true
+
+
+def _propagate(clauses: list[tuple[int, int]], true: int, false: int) -> tuple[int, int] | None:
+    """The masks grown by unit propagation to a fixpoint; None on a conflict."""
+    changed = True
+    while changed:
+        changed = False
+        for pos, neg in clauses:
+            open_pos, open_neg = pos & ~false, neg & ~true
+            unset = open_pos | open_neg
+            if pos & true or neg & false or unset & (unset - 1):
+                continue  # satisfied, or two or more literals still open
+            if not unset:
+                return None  # every literal false
+            true, false, changed = true | open_pos, false | open_neg, True
+    return true, false
+
+
 def oracle_strong_relations(
     formula: CnfFormula, var_limit: int = 25
 ) -> tuple[FeatureClassification, dict[int, StrongRelations]]:
@@ -56,17 +102,12 @@ def oracle_strong_relations(
     it and conflicts with whatever is true in none of them.
     """
     n = formula.num_vars
-    full_mask = (1 << (n + 1)) - 2  # bit v for variable v
-    count = 0
-    all_and = full_mask
-    all_or = 0
-    # Per-variable intersection/union over the models that select it.
-    inter = [full_mask] * (n + 1)
+    # Per-variable intersection/union over the models that select it. Every
+    # model selects variable 0 (bit 0), so entry 0 runs over all models.
+    inter = [-1] * (n + 1)
     union = [0] * (n + 1)
     for mask in enumerate_models(formula, var_limit=var_limit):
-        count += 1
-        all_and &= mask
-        all_or |= mask
+        mask |= 1
         selected = mask
         while selected:
             low = selected & -selected
@@ -74,11 +115,11 @@ def oracle_strong_relations(
             inter[v] &= mask
             union[v] |= mask
             selected ^= low
-    if count == 0:
+    if not union[0]:
         raise VoidModelError("formula is unsatisfiable")
 
-    core = frozenset(v for v in range(1, n + 1) if all_and >> v & 1)
-    dead = frozenset(v for v in range(1, n + 1) if not (all_or >> v & 1))
+    core = frozenset(v for v in range(1, n + 1) if inter[0] >> v & 1)
+    dead = frozenset(v for v in range(1, n + 1) if not union[v])
     configurable = frozenset(set(range(1, n + 1)) - core - dead)
     classification = FeatureClassification(
         num_vars=n, core=core, dead=dead, configurable=configurable
@@ -86,15 +127,9 @@ def oracle_strong_relations(
 
     relations = {}
     for v in sorted(configurable):
-        forced = inter[v]
-        excluded = ~union[v] & full_mask
         relations[v] = StrongRelations(
-            depends_on=frozenset(
-                g for g in configurable if g != v and forced >> g & 1
-            ),
-            conflicts_with=frozenset(
-                g for g in configurable if g != v and excluded >> g & 1
-            ),
+            depends_on=frozenset(g for g in configurable if g != v and inter[v] >> g & 1),
+            conflicts_with=frozenset(g for g in configurable if not union[v] >> g & 1),
         )
     return classification, relations
 

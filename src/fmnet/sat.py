@@ -26,8 +26,8 @@ derives from the formula and the assumptions leaves it as masks too, one of
 the variables set true and one of those set false. Soft literals come in
 as such a pair, the variables wanted true and those wanted false, so a
 caller builds no list of literals. ``members`` lists the variables of a
-mask. The extractor decodes masks through it; the enumeration oracle
-decodes its own on purpose, so that it shares no code with the extractor.
+mask. The extractor decodes masks through it. The enumeration oracle in
+``oracle.py`` runs its own small DPLL and uses nothing from this module.
 """
 
 from __future__ import annotations
@@ -35,10 +35,9 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .cnf import CnfFormula, normalize_clause
-from .errors import EnumerationLimitError
 
 # Variable truth values. The encoding makes literal evaluation a xor:
 # value(lit) == _VALUES[var] ^ (sign bit), giving 1 for true, 0 for false
@@ -98,12 +97,8 @@ def _luby(i: int) -> int:
 
 
 class SatEngine:
-    """CDCL solver over a fixed variable universe.
-
-    Clauses can be added between solve calls (that is how blocking-clause
-    enumeration works); learned clauses persist, which never changes the
-    status relative to a fresh engine because learned clauses are implied.
-    """
+    """CDCL solver over one formula, loaded at construction. Learned clauses
+    persist across solve calls; being implied, they never change a status."""
 
     def __init__(self, formula: CnfFormula):
         n = formula.num_vars
@@ -129,38 +124,30 @@ class SatEngine:
         self._activity_inc = 1.0
         self._saved_phase = [False] * (n + 1)
         self._heap: list[tuple[float, int]] = [(0.0, v) for v in range(1, n + 1)]
-        for clause in formula.clauses:
-            self.add_clause(clause)
+        for clause in formula.clauses:  # each against the root as the earlier ones left it
+            normalized = normalize_clause(clause)
+            if normalized is None or not self._ok:  # a tautology, or already unsatisfiable
+                continue
+            lits = []
+            for lit in normalized:  # in range, as CnfFormula checks
+                code = abs(lit) << 1 | (lit < 0)
+                value = self._values[code >> 1] ^ (code & 1)
+                if value == _TRUE:
+                    break  # already satisfied at the root
+                if value != _FALSE:  # a literal false at the root is dropped
+                    lits.append(code)
+            else:
+                if not lits:
+                    self._ok = False
+                elif len(lits) == 1:
+                    self._assign(lits[0], -1)
+                    self._at_root()
+                else:
+                    cid = self._attach(lits)
+                    for code in lits:
+                        self._occurs[code].append(cid)
 
     # ---- public API ----
-
-    def add_clause(self, literals: Iterable[int]) -> None:
-        """Add a clause; safe between solve calls."""
-        normalized = normalize_clause(literals)
-        if normalized is None:  # tautology
-            return
-        codes = self._codes(normalized, "literal")
-        model = self._model
-        if model is not None and all(model[c >> 1] ^ (c & 1) != _TRUE for c in codes):
-            self._model = None  # the new clause blocks it
-        if not self._at_root():
-            return
-        lits = []
-        for code in codes:
-            value = self._values[code >> 1] ^ (code & 1)
-            if value == _TRUE:
-                return  # already satisfied at the root
-            if value != _FALSE:  # a literal false at the root is dropped
-                lits.append(code)
-        if not lits:
-            self._ok = False
-        elif len(lits) == 1:
-            self._assign(lits[0], -1)
-            self._at_root()
-        else:
-            cid = self._attach(lits)
-            for code in lits:
-                self._occurs[code].append(cid)
 
     def implied_literals(self, assumptions: Sequence[int]) -> tuple[int, int] | None:
         """What unit propagation alone derives from the formula and the assumptions.
@@ -170,7 +157,7 @@ class SatEngine:
         assumptions, and what they propagate. None when propagation runs
         into a conflict. Nothing is learned.
         """
-        codes = self._codes(assumptions, "assumption")
+        codes = self._codes(assumptions)
         if not self._at_root():
             return None
         for code in codes:
@@ -196,7 +183,7 @@ class SatEngine:
         So a variable in both masks is tried true first.
         """
         self.num_solve_calls += 1
-        codes = self._codes(assumptions, "assumption")
+        codes = self._codes(assumptions)
         true_mask, false_mask = soft
         for mask in soft:
             if not isinstance(mask, int) or mask < 0 or mask & 1 or mask >> (self.num_vars + 1):
@@ -234,10 +221,9 @@ class SatEngine:
         that variable as well, so no variable changes twice. The walk fails
         on a false literal or clause with only fixed variables, and then
         undoes its own flips and fixes. The starting model satisfies every
-        clause and fixed literal (``add_clause`` drops a model the new
-        clause blocks), so a clause the walk never visits still holds;
-        learned clauses need no visit, being implied by the rest. So a walk
-        that succeeds leaves a model of every clause and fixed literal.
+        clause and fixed literal, so a clause the walk never visits still
+        holds; learned clauses need no visit, being implied by the rest. So
+        a walk that succeeds leaves a model of every clause and fixed literal.
         (UnitWalk's repair step: Hirsch & Kojevnikov, Annals of Mathematics
         and Artificial Intelligence 43, 2005.)
         """
@@ -314,13 +300,13 @@ class SatEngine:
             if not self._decide(code):
                 return False
 
-    def _codes(self, literals: Iterable[int], kind: str) -> list[int]:
+    def _codes(self, literals: Iterable[int]) -> list[int]:
         """Literal codes (positive v -> 2v, negative v -> 2v + 1), range-checked."""
         codes = []
         for lit in literals:
             var = abs(lit)
             if not isinstance(lit, int) or lit == 0 or var > self.num_vars:
-                raise ValueError(f"{kind} {lit} out of range 1..{self.num_vars}")
+                raise ValueError(f"assumption {lit} out of range 1..{self.num_vars}")
             codes.append((var << 1) | (lit < 0))
         return codes
 
@@ -490,21 +476,3 @@ class SatEngine:
                       if values[v] == _UNASSIGNED]
         heapify(self._heap)
 
-
-def enumerate_models(formula: CnfFormula, var_limit: int = 25) -> Iterator[int]:
-    """Yield every satisfying total assignment exactly once, as a model mask.
-
-    Standard blocking-clause loop: after each model, a clause forbidding
-    exactly that total assignment is added, so the count is exact and no
-    model repeats; the one model of a formula without variables is blocked
-    by the empty clause. Refuses formulas wider than ``var_limit`` variables
-    since the model count can be exponential.
-    """
-    if formula.num_vars > var_limit:
-        raise EnumerationLimitError(
-            f"enumeration over {formula.num_vars} variables exceeds the limit of {var_limit}"
-        )
-    engine = SatEngine(formula)
-    while (model := engine.solve().model) is not None:
-        yield model
-        engine.add_clause([-v if model >> v & 1 else v for v in formula.variables()])

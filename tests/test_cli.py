@@ -13,6 +13,7 @@ import pytest
 import fmnet
 import fmnet.cli as cli
 from fmnet.fixtures import coreboot_graphics_text
+from fmnet.sat import SatEngine
 
 GOOD_DIMACS = "p cnf 2 1\n1 2 0\n"
 VOID_DIMACS = "p cnf 1 2\n1 0\n-1 0\n"
@@ -114,6 +115,18 @@ class TestAnalyze:
         (line,) = capsys.readouterr().err.splitlines()
         assert line == f"error: model id '{model_id}' is not a plain directory name"
         assert not (tmp_path / "tmp").exists()
+
+    def test_out_of_memory_is_one_input_error(self, tmp_path, capsys, monkeypatch):
+        # Stands in for a problem line too large to allocate, such as
+        # "p cnf 100000000 0", without allocating anything for real.
+        def exhausted(self, formula):
+            raise MemoryError
+
+        monkeypatch.setattr(SatEngine, "__init__", exhausted)
+        path = tmp_path / "model.cnf"
+        path.write_text(GOOD_DIMACS, "utf-8")
+        assert cli.main(["analyze", str(path)]) == cli.EXIT_INPUT_ERROR
+        assert capsys.readouterr().err.splitlines() == ["error: out of memory"]
 
     def test_deep_constraint_is_input_error(self, tmp_path, capsys):
         path = tmp_path / "deep.fm"

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import random
 
 import pytest
@@ -7,13 +8,156 @@ from conftest import (
     EXPECTED_DISCREPANCY_KIND,
     MUTATION_KINDS,
     apply_mutation,
+    random_cnf,
     random_satisfiable_cnf,
+    tt_model_count,
+    tt_model_masks,
     tt_strong_relations,
 )
-from fmnet.cnf import CnfFormula
+import fmnet.cli as cli
+import fmnet.oracle as oracle
+import fmnet.sat as sat
+from fmnet.cnf import CnfFormula, parse_dimacs
 from fmnet.errors import EnumerationLimitError, VoidModelError
-from fmnet.oracle import Discrepancy, oracle_strong_relations, validate_model
+from fmnet.oracle import Discrepancy, enumerate_models, oracle_strong_relations, validate_model
+from fmnet.sat import SatEngine
 from fmnet.strong_graphs import compute_strong_graphs, extract_strong_relations
+
+
+class TestEnumerateModels:
+    def test_models_distinct_and_complete(self):
+        rng = random.Random(5)
+        for _ in range(100):
+            formula = random_cnf(rng, rng.randint(1, 10), rng.uniform(0.8, 3.0))
+            models = list(enumerate_models(formula))
+            assert len(set(models)) == len(models)
+            assert len(models) == tt_model_count(formula)
+            assert sorted(models) == sorted(tt_model_masks(formula))
+
+    def test_repeated_literals_and_tautologies_against_truth_table(self):
+        # Literals drawn with replacement, so clauses repeat literals and
+        # hold both signs of a variable.
+        rng = random.Random(8)
+        for _ in range(100):
+            num_vars = rng.randint(1, 8)
+            clauses = tuple(
+                tuple(rng.choice((1, -1)) * rng.randint(1, num_vars)
+                      for _ in range(rng.randint(1, 4)))
+                for _ in range(rng.randint(1, 3 * num_vars))
+            )
+            formula = CnfFormula(num_vars=num_vars, clauses=clauses)
+            assert sorted(enumerate_models(formula)) == tt_model_masks(formula)
+
+    def test_zero_var_formula_has_one_empty_model(self):
+        models = list(enumerate_models(CnfFormula(num_vars=0, clauses=())))
+        assert models == [0]
+
+    def test_unsat_yields_nothing(self):
+        formula = CnfFormula(num_vars=1, clauses=((1,), (-1,)))
+        assert list(enumerate_models(formula)) == []
+
+    def test_trivially_unsat_yields_nothing(self):
+        for clauses in ((), ((1, 2),)):
+            formula = CnfFormula(num_vars=2, clauses=clauses, trivially_unsat=True)
+            assert list(enumerate_models(formula)) == []
+
+    def test_tautology_and_duplicated_literal(self):
+        formula = CnfFormula(num_vars=2, clauses=((1, -1), (2, 2)))
+        models = list(enumerate_models(formula))
+        assert sorted(models) == [0b100, 0b110]
+
+    def test_var_limit(self):
+        # All units, so raising the limit keeps the enumeration tiny.
+        formula = CnfFormula(num_vars=26, clauses=tuple((v,) for v in range(1, 27)))
+        with pytest.raises(EnumerationLimitError, match="26 variables"):
+            list(enumerate_models(formula))
+        assert len(list(enumerate_models(formula, var_limit=26))) == 1
+
+    def test_free_variables_enumerated(self):
+        # 2 constrained + 1 free variable: every model pair appears.
+        formula = CnfFormula(num_vars=3, clauses=((1,), (-1, 2)))
+        assert len(list(enumerate_models(formula))) == 2
+
+    def test_many_models(self):
+        # Three quarters of the 2^16 assignments satisfy (1, 2).
+        models = list(enumerate_models(CnfFormula(num_vars=16, clauses=((1, 2),))))
+        assert len(models) == len(set(models)) == 49_152
+        assert all(model & 0b110 and not model & 1 for model in models)
+
+    def test_every_clause_holds_the_top_variable(self, monkeypatch):
+        # (v, n) and (-v, -n) for each v < n: the value of variable 1 forces
+        # n and then every other variable, so propagation leaves two leaves,
+        # where a walk that checks each clause only at its highest variable
+        # explores 2^(n-1) partial assignments.
+        n = 22
+        clauses = tuple(c for v in range(1, n) for c in ((v, n), (-v, -n)))
+        calls = []
+        propagate = oracle._propagate
+
+        def counted(*args):
+            calls.append(args)
+            return propagate(*args)
+
+        monkeypatch.setattr(oracle, "_propagate", counted)
+        models = sorted(enumerate_models(CnfFormula(num_vars=n, clauses=clauses)))
+        assert models == [(1 << n) - 2, 1 << n]
+        assert len(calls) == 3  # the root and each value of variable 1
+
+
+# R; P -> R; A, B, C -> P; P -> A | B | C; P -> !A; P -> !B. So A and B are
+# dead, R is core, and P and C force each other, but only through the one
+# clause of width 4.
+WIDE_CLAUSE_DIMACS = """\
+c 1 R
+c 2 P
+c 3 A
+c 4 B
+c 5 C
+p cnf 5 8
+1 0
+-2 1 0
+-3 2 0
+-4 2 0
+-5 2 0
+-2 3 4 5 0
+-2 -3 0
+-2 -4 0
+"""
+
+
+class TestIndependence:
+    """The oracle shares no code with the solver, so a solver fault shows."""
+
+    def test_engine_dropping_wide_clauses_is_caught(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "wide.cnf"
+        path.write_text(WIDE_CLAUSE_DIMACS, "utf-8")
+        assert cli.main(["oracle", str(path)]) == cli.EXIT_OK
+        assert json.loads(capsys.readouterr().out)["arcs"] == [["C", "P"], ["P", "C"]]
+
+        real_init = SatEngine.__init__
+
+        def narrow(self, formula):
+            kept = tuple(c for c in formula.clauses if len(c) < 4)
+            real_init(self, dataclasses.replace(formula, clauses=kept))
+
+        monkeypatch.setattr(SatEngine, "__init__", narrow)
+        assert cli.main(["oracle", str(path)]) == cli.EXIT_DISAGREEMENT
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["arcs"] == [["C", "P"], ["P", "C"]]
+        assert payload["agrees_with_extraction"] is False
+
+    def test_oracle_runs_without_the_solver(self, monkeypatch):
+        def refuse(self, formula):
+            raise AssertionError("the enumeration oracle built a solver")
+
+        formula = parse_dimacs(WIDE_CLAUSE_DIMACS)
+        # Both the module's name and the class every module imported.
+        monkeypatch.setattr(sat, "SatEngine", type("NoSolver", (), {"__init__": refuse}))
+        monkeypatch.setattr(SatEngine, "__init__", refuse)
+        classification, relations = oracle_strong_relations(formula)
+        assert (classification.core, classification.dead) == ({1}, {3, 4})
+        assert {v: r.depends_on for v, r in relations.items()} == {2: {5}, 5: {2}}
+        assert (classification, relations) == tt_strong_relations(formula)
 
 
 class TestOracleStrongRelations:

@@ -3,20 +3,12 @@ import random
 
 import pytest
 
-from conftest import (
-    perfbench_gen,
-    random_cnf,
-    truth_table_mask,
-    tt_model_count,
-    tt_model_masks,
-    variable_column,
-)
+from conftest import perfbench_gen, random_cnf, truth_table_mask, variable_column
 import fmnet.sat as sat
 import fmnet.strong_graphs as strong_graphs
 from fmnet.cnf import CnfFormula
-from fmnet.errors import EnumerationLimitError
 from fmnet.feature_model import parse_fm_to_cnf
-from fmnet.sat import SatEngine, SatOutcome, Status, enumerate_models
+from fmnet.sat import SatEngine, SatOutcome, Status
 
 
 def satisfies(model, formula):
@@ -106,25 +98,27 @@ class TestSolve:
         engine.solve((1,))
         assert engine.num_solve_calls == 2
 
-    def test_incremental_clauses_between_solves(self):
-        engine = SatEngine(CnfFormula(num_vars=2, clauses=((1, 2),)))
-        assert engine.solve().status is Status.SAT
-        engine.add_clause([-1])
-        engine.add_clause([-2])
-        assert engine.solve().status is Status.UNSAT
-
-    def test_add_clause_skips_tautology_and_rejects_unknown_variable(self):
-        engine = SatEngine(CnfFormula(num_vars=2, clauses=()))
-        engine.add_clause([1, 2, -1])
+    def test_construction_skips_tautology_and_rejects_unknown_variable(self):
+        engine = SatEngine(CnfFormula(num_vars=2, clauses=((1, 2, -1),)))
         assert engine._clauses == []
         assert engine.solve((-1, -2)).status is Status.SAT
         with pytest.raises(ValueError, match="literal -3 out of range"):
-            engine.add_clause([1, -3])
+            SatEngine(CnfFormula(num_vars=2, clauses=((1, -3),)))
+
+    def test_root_handling_of_each_clause(self):
+        # The unit 1 is propagated before the next clause is read, so
+        # (-1, 2, 3) loses its false literal and (1, 3) is skipped as
+        # satisfied; (-2, -3) is stored as it is.
+        engine = SatEngine(CnfFormula(num_vars=3, clauses=((1,), (-1, 2, 3), (1, 3), (-2, -3))))
+        assert engine._clauses == [[4, 6], [5, 7]]
+        assert engine._trail == [2]
+        # A clause whose literals are all false at the root makes it UNSAT.
+        engine = SatEngine(CnfFormula(num_vars=2, clauses=((1,), (2,), (-1, -2))))
+        assert engine.solve().status is Status.UNSAT
 
     def test_unsat_is_sticky(self):
         engine = SatEngine(CnfFormula(num_vars=1, clauses=((1,), (-1,))))
         assert engine.solve().status is Status.UNSAT
-        engine.add_clause([1])
         assert engine.solve().status is Status.UNSAT
         assert engine.solve((1,)).status is Status.UNSAT
 
@@ -425,22 +419,6 @@ class TestRepair:
         assert engine.num_repairs == repairs + 1
         assert outcome.model == bits(1, 3, 4)
 
-    def test_blocked_model_is_not_repaired(self):
-        # A clause added after a solve that the returned model falsifies
-        # retires that model, so the next answer differs from it.
-        formula = CnfFormula(num_vars=3, clauses=((1, 2), (-2, 3)))
-        engine = SatEngine(formula)
-        first = engine.solve().model
-        engine.add_clause([-v if first >> v & 1 else v for v in (1, 2, 3)])
-        second = engine.solve().model
-        assert second is not None and second != first
-        assert satisfies(second, formula)
-        # A clause the model satisfies keeps it as the starting point.
-        repairs = engine.num_repairs
-        engine.add_clause([v if second >> v & 1 else -v for v in (1, 2)])
-        assert engine.solve().model == second
-        assert engine.num_repairs == repairs + 1
-
     def test_decision_heap_stays_bounded(self, monkeypatch):
         # Each return to the root puts every freed variable on the lazy
         # decision heap, and only the search takes entries off it, so a
@@ -524,33 +502,3 @@ class TestRarelyReachedPaths:
         # The increment only grows, except when a rescale shrinks it.
         assert sum(engine._activity_inc < 1.0 for engine in engines) > 80
 
-
-class TestEnumerateModels:
-    def test_models_distinct_and_complete(self):
-        rng = random.Random(5)
-        for _ in range(100):
-            formula = random_cnf(rng, rng.randint(1, 10), rng.uniform(0.8, 3.0))
-            models = list(enumerate_models(formula))
-            assert len(set(models)) == len(models)
-            assert len(models) == tt_model_count(formula)
-            assert sorted(models) == sorted(tt_model_masks(formula))
-
-    def test_zero_var_formula_has_one_empty_model(self):
-        models = list(enumerate_models(CnfFormula(num_vars=0, clauses=())))
-        assert models == [0]
-
-    def test_unsat_yields_nothing(self):
-        formula = CnfFormula(num_vars=1, clauses=((1,), (-1,)))
-        assert list(enumerate_models(formula)) == []
-
-    def test_var_limit(self):
-        # All units, so raising the limit keeps the enumeration tiny.
-        formula = CnfFormula(num_vars=26, clauses=tuple((v,) for v in range(1, 27)))
-        with pytest.raises(EnumerationLimitError, match="26 variables"):
-            list(enumerate_models(formula))
-        assert len(list(enumerate_models(formula, var_limit=26))) == 1
-
-    def test_free_variables_enumerated(self):
-        # 2 constrained + 1 free variable: every model pair appears.
-        formula = CnfFormula(num_vars=3, clauses=((1,), (-1, 2)))
-        assert len(list(enumerate_models(formula))) == 2
