@@ -2,7 +2,10 @@
 
 Literals are signed integers in the DIMACS convention: ``v`` asserts variable
 ``v`` (a positive index), ``-v`` denies it. A clause is a tuple of literals
-understood as a disjunction; a formula is a conjunction of clauses.
+understood as a disjunction; a formula is a conjunction of clauses. A
+formula holds its clauses in normal form: no tautology, no literal twice.
+The empty clause is a clause like any other, and makes the formula
+unsatisfiable.
 
 Variable names ride along in an optional map from index to name. The DIMACS
 form carries them as ``c <index> <name>`` comment lines, which may appear
@@ -87,25 +90,27 @@ def name_fault(names: Mapping[int, str], num_vars: int) -> tuple[int, str] | Non
 class CnfFormula:
     """An immutable CNF formula over variables 1..num_vars.
 
-    ``trivially_unsat`` records that the source contained an empty clause;
-    the clause itself is not stored (clauses are non-empty by construction)
-    but every downstream analysis refuses such a formula.
+    Construction normalizes every clause (see ``normalize_clause``): a
+    tautology is dropped and a repeated literal kept once, and clauses
+    given as lists are stored as tuples. So two formulas that differ only
+    in these compare equal. An empty clause is kept in its place.
     """
 
     num_vars: int
     clauses: tuple[Clause, ...]
     names: Mapping[int, str] = field(default_factory=dict)
-    trivially_unsat: bool = False
 
     def __post_init__(self):
         if self.num_vars < 0:
             raise ValueError("num_vars must be non-negative")
+        clauses = []
         for clause in self.clauses:
-            if not clause:
-                raise ValueError("empty clause; use trivially_unsat instead")
             for lit in clause:
                 if not 1 <= abs(lit) <= self.num_vars:
                     raise ValueError(f"literal {lit} out of range 1..{self.num_vars}")
+            if (normalized := normalize_clause(clause)) is not None:
+                clauses.append(normalized)
+        object.__setattr__(self, "clauses", tuple(clauses))
         for index in self.names:
             if not 1 <= index <= self.num_vars:
                 raise ValueError(f"name index {index} out of range")
@@ -124,8 +129,9 @@ def parse_dimacs(text: str) -> CnfFormula:
 
     Enforced shape: exactly one ``p cnf <vars> <clauses>`` line before any
     clause, every clause 0-terminated, literal indices within range, and the
-    number of clauses read equal to the declared count. Tautologies and
-    duplicate literals are normalized away after that count check. Blank
+    number of clauses read equal to the declared count. The formula built
+    then drops tautologies and repeated literals, so the count check sees
+    every clause as written; a bare ``0`` is the empty clause. Blank
     lines and comments are accepted anywhere; a comment of the exact shape
     ``c <index> <name>`` declares a variable name. Every number (a literal,
     a count on the problem line, a name comment's index) is written in ASCII
@@ -134,8 +140,7 @@ def parse_dimacs(text: str) -> CnfFormula:
     """
     num_vars: int | None = None
     declared_clauses: int | None = None
-    clauses: list[Clause] = []
-    trivially_unsat = False
+    clauses: list[list[int]] = []
     pending: list[int] = []
     name_comments: list[tuple[int, int, str]] = []  # (line_no, index, name)
     clause_count = 0
@@ -171,12 +176,7 @@ def parse_dimacs(text: str) -> CnfFormula:
                 raise DimacsError(f"invalid literal token {token!r}", line_no)
             if lit == 0:
                 clause_count += 1
-                if not pending:
-                    trivially_unsat = True
-                else:
-                    clause = normalize_clause(pending)
-                    if clause is not None:
-                        clauses.append(clause)
+                clauses.append(pending)
                 pending = []
             else:
                 if abs(lit) > num_vars:
@@ -206,24 +206,18 @@ def parse_dimacs(text: str) -> CnfFormula:
     if fault := name_fault(names, num_vars):
         raise DimacsError(fault[1], name_lines[fault[0]])
 
-    return CnfFormula(
-        num_vars=num_vars, clauses=tuple(clauses), names=names, trivially_unsat=trivially_unsat
-    )
+    return CnfFormula(num_vars=num_vars, clauses=clauses, names=names)
 
 
 def emit_dimacs(formula: CnfFormula) -> str:
     """Serialize a CnfFormula to DIMACS text.
 
     Layout: problem line, then name comments sorted by index, then clauses in
-    order. A trivially unsatisfiable formula regains its empty clause as a
-    bare ``0`` line so the flag survives a round trip.
+    order, one a line; the empty clause is a bare ``0`` in its place.
     """
-    clause_total = len(formula.clauses) + (1 if formula.trivially_unsat else 0)
-    lines = [f"p cnf {formula.num_vars} {clause_total}"]
+    lines = [f"p cnf {formula.num_vars} {len(formula.clauses)}"]
     for index in sorted(formula.names):
         lines.append(f"c {index} {formula.names[index]}")
     for clause in formula.clauses:
-        lines.append(" ".join(str(lit) for lit in clause) + " 0")
-    if formula.trivially_unsat:
-        lines.append("0")
+        lines.append(" ".join([*map(str, clause), "0"]))
     return "\n".join(lines) + "\n"

@@ -35,7 +35,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Container, Iterator, Union
 
-from .cnf import Clause, CnfFormula, normalize_clause
+from .cnf import CnfFormula
 from .errors import ConstraintError, DialectError
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -143,8 +143,6 @@ def _parse_expr(text: str, line: int) -> Expr:
             raise DialectError(_TOO_DEEP, line)
     while pending:
         apply()
-    if max(depth for _, depth in _walk(operands[0])) > MAX_CONSTRAINT_DEPTH:
-        raise DialectError(_TOO_DEEP, line)
     return operands[0]
 
 
@@ -350,37 +348,29 @@ def fm_to_cnf(model: FeatureModel) -> CnfFormula:
             raise DialectError(f"invalid feature name {feature.name!r}")
         if index.setdefault(feature.name, number) != number:
             raise DialectError(f"feature {feature.name!r} declared twice")
-    clauses: list[Clause] = []
-
-    def push(raw: list[int]) -> None:
-        clause = normalize_clause(raw)
-        if clause is not None:
-            clauses.append(clause)
-
-    push([index[model.root.name]])
+    clauses = [[index[model.root.name]]]
     for feature in features:
         parent = index[feature.name]
         for child in feature.children:
-            push([-index[child.name], parent])
+            clauses.append([-index[child.name], parent])
             if child.mandatory:
-                push([-parent, index[child.name]])
+                clauses.append([-parent, index[child.name]])
         for group in feature.groups:
             members = [index[m.name] for m in group.members]
             for member in members:
-                push([-member, parent])
-            push([-parent] + members)
+                clauses.append([-member, parent])
+            clauses.append([-parent] + members)
             if group.kind == "alternative":
                 for i, a in enumerate(members):
                     for b in members[i + 1:]:
-                        push([-a, -b])
+                        clauses.append([-a, -b])
     for constraint in model.constraints:
         _check_constraint(constraint, index)
-        for raw in _expr_clauses(constraint.expression, index, False, constraint):
-            push(raw)
+        clauses += _expr_clauses(constraint.expression, index, False, constraint)
 
     return CnfFormula(
         num_vars=len(features),
-        clauses=tuple(clauses),
+        clauses=clauses,
         names={index[f.name]: f.name for f in features},
     )
 

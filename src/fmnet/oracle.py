@@ -62,7 +62,7 @@ def enumerate_models(formula: CnfFormula, var_limit: int = 25) -> Iterator[int]:
         if not pos & neg:  # a tautology holds in every model
             clauses.append((pos, neg))
     full_mask = (1 << (formula.num_vars + 1)) - 2
-    pending = [] if formula.trivially_unsat else [(0, 0)]  # (true mask, false mask)
+    pending = [(0, 0)]  # (true mask, false mask)
     while pending:
         masks = _propagate(clauses, *pending.pop())
         if masks is None:
@@ -185,7 +185,7 @@ def validate_model(
     """
     if sample_size < 1:
         raise ValueError(f"sample_size must be positive, got {sample_size}")
-    if formula.trivially_unsat:
+    if () in formula.clauses:
         raise VoidModelError("formula contains the empty clause")
     engine = SatEngine(formula)
 

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from typing import Iterable, Sequence
 
-from .cnf import CnfFormula, normalize_clause
+from .cnf import CnfFormula
 
 # Variable truth values. The encoding makes literal evaluation a xor:
 # value(lit) == _VALUES[var] ^ (sign bit), giving 1 for true, 0 for false
@@ -104,8 +104,7 @@ class SatEngine:
         n = formula.num_vars
         self.num_vars = n
         self.num_solve_calls = 0
-        self.num_repairs = 0
-        self._ok = not formula.trivially_unsat
+        self._ok = True
         # Literal codes: positive v -> 2v, negative v -> 2v + 1.
         self._values = [_UNASSIGNED] * (n + 1)
         self._levels = [0] * (n + 1)
@@ -124,12 +123,13 @@ class SatEngine:
         self._activity_inc = 1.0
         self._saved_phase = [False] * (n + 1)
         self._heap: list[tuple[float, int]] = [(0.0, v) for v in range(1, n + 1)]
-        for clause in formula.clauses:  # each against the root as the earlier ones left it
-            normalized = normalize_clause(clause)
-            if normalized is None or not self._ok:  # a tautology, or already unsatisfiable
-                continue
+        # Each clause, normalized and in range as CnfFormula keeps it, against
+        # the root as the earlier ones left it; an empty one makes it unsatisfiable.
+        for clause in formula.clauses:
+            if not self._ok:
+                break
             lits = []
-            for lit in normalized:  # in range, as CnfFormula checks
+            for lit in clause:
                 code = abs(lit) << 1 | (lit < 0)
                 value = self._values[code >> 1] ^ (code & 1)
                 if value == _TRUE:
@@ -192,13 +192,11 @@ class SatEngine:
             return SatOutcome(Status.UNSAT)
         fixed = bytearray(self._values)  # _UNASSIGNED marks a variable still free
         model = self._model
-        if model is not None and self._walk(model, fixed, codes):
-            self.num_repairs += 1
-        elif self._search(codes):
+        if model is None or not self._walk(model, fixed, codes):
+            if not self._search(codes):
+                return SatOutcome(Status.UNSAT)
             model = self._model = bytearray(self._values)
             self._walk(model, fixed, codes)  # fixes the assumptions, flips nothing
-        else:
-            return SatOutcome(Status.UNSAT)
         for sign, mask in ((0, true_mask), (1, false_mask)):  # literal code 2v + sign
             for var in members(mask):
                 if fixed[var] != _UNASSIGNED:

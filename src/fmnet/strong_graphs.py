@@ -185,7 +185,7 @@ def extract_strong_relations(
 
     Raises VoidModelError for an unsatisfiable formula.
     """
-    if formula.trivially_unsat:
+    if () in formula.clauses:
         raise VoidModelError("formula contains the empty clause")
     engine = SatEngine(formula)
     base = compute_backbone(engine)

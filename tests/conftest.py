@@ -51,13 +51,16 @@ def variable_column(num_vars: int, var: int) -> int:
 
 def truth_table_mask(formula: CnfFormula) -> int:
     """Bitmask of satisfying assignment rows; 0 means unsatisfiable."""
-    rows = 1 << formula.num_vars
-    full = (1 << rows) - 1
-    if formula.trivially_unsat:
-        return 0
-    columns = {v: variable_column(formula.num_vars, v) for v in formula.variables()}
+    return clauses_truth_table(formula.num_vars, formula.clauses)
+
+
+def clauses_truth_table(num_vars: int, clauses) -> int:
+    """Bitmask of the rows that satisfy every clause as written, which
+    need not be in the normal form a CnfFormula keeps."""
+    full = (1 << (1 << num_vars)) - 1
+    columns = {v: variable_column(num_vars, v) for v in range(1, num_vars + 1)}
     mask = full
-    for clause in formula.clauses:
+    for clause in clauses:
         satisfied = 0
         for lit in clause:
             satisfied |= columns[lit] if lit > 0 else ~columns[-lit] & full
@@ -302,6 +305,23 @@ def solve_log(monkeypatch) -> list:
         return outcome
 
     monkeypatch.setattr(SatEngine, "solve", recording)
+    return log
+
+
+@pytest.fixture
+def search_log(monkeypatch) -> list:
+    """What every ``SatEngine._search`` call made while the test runs
+    returned, in order: True when the search found a model. A SAT answer
+    with no search behind it came from a walk."""
+    log = []
+    search = SatEngine._search
+
+    def recording(self, codes):
+        found = search(self, codes)
+        log.append(found)
+        return found
+
+    monkeypatch.setattr(SatEngine, "_search", recording)
     return log
 
 

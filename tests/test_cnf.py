@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import random_cnf
+from conftest import clauses_truth_table, random_cnf, truth_table_mask
 from fmnet.cnf import CnfFormula, emit_dimacs, normalize_clause, parse_dimacs
 from fmnet.errors import DimacsError, InputSyntaxError
 
@@ -31,9 +31,16 @@ class TestCnfFormula:
         with pytest.raises(ValueError, match="out of range"):
             CnfFormula(num_vars=2, clauses=((1, -3),))
 
-    def test_empty_clause_rejected(self):
-        with pytest.raises(ValueError, match="empty clause"):
-            CnfFormula(num_vars=1, clauses=((),))
+    @pytest.mark.parametrize("given, normal", [
+        (((1, 1),), ((1,),)),
+        (((1, -1, 2), (2,)), ((2,),)),
+        (((-2, 1, -2, 1), (), ()), ((-2, 1), (), ())),
+        ([[2, 1, 2], (1, -2, -1), [], [2]], ((2, 1), (), (2,))),
+    ], ids=["repeated-literal", "tautology", "both-and-empty-clauses", "lists"])
+    def test_formulas_differing_only_in_normal_form_are_equal(self, given, normal):
+        formula = CnfFormula(num_vars=2, clauses=given)
+        assert formula.clauses == normal
+        assert formula == CnfFormula(num_vars=2, clauses=normal)
 
     def test_negative_num_vars_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):
@@ -93,7 +100,6 @@ class TestParseDimacs:
         formula = parse_dimacs("c a comment\np cnf 3 2\n1 -2 0\n2 3 0\n")
         assert formula.num_vars == 3
         assert formula.clauses == ((1, -2), (2, 3))
-        assert not formula.trivially_unsat
 
     def test_clause_split_across_lines(self):
         formula = parse_dimacs("p cnf 3 1\n1\n-2\n3 0\n")
@@ -115,10 +121,9 @@ class TestParseDimacs:
         formula = parse_dimacs("p cnf 2 2\n1 -1 0\n2 0\n")
         assert formula.clauses == ((2,),)
 
-    def test_empty_clause_sets_flag(self):
-        formula = parse_dimacs("p cnf 2 2\n0\n1 2 0\n")
-        assert formula.trivially_unsat
-        assert formula.clauses == ((1, 2),)
+    def test_empty_clause_kept_in_place(self):
+        formula = parse_dimacs("p cnf 2 3\n1 0\n0\n1 2 0\n")
+        assert formula.clauses == ((1,), (), (1, 2))
 
     def test_zero_vars_zero_clauses(self):
         formula = parse_dimacs("p cnf 0 0\n")
@@ -241,14 +246,11 @@ class TestEmitDimacs:
             "p cnf 3 2\nc 1 A\nc 2 B\n1 -2 0\n3 0\n"
         )
 
-    def test_trivially_unsat_regains_empty_clause(self):
-        formula = CnfFormula(num_vars=1, clauses=((1,),), trivially_unsat=True)
-        text = emit_dimacs(formula)
-        assert text.endswith("0\n")
-        assert "p cnf 1 2" in text
-        again = parse_dimacs(text)
-        assert again.trivially_unsat
-        assert again.clauses == ((1,),)
+    def test_empty_clause_is_a_bare_zero_in_its_place(self):
+        text = "p cnf 2 3\n1 -2 0\n0\n2 0\n"
+        formula = parse_dimacs(text)
+        assert emit_dimacs(formula) == text
+        assert parse_dimacs(emit_dimacs(formula)) == formula
 
     def test_roundtrip_random(self):
         rng = random.Random(11)
@@ -261,3 +263,18 @@ class TestEmitDimacs:
             )
             again = parse_dimacs(emit_dimacs(named))
             assert again == named
+
+    def test_roundtrip_of_hand_built_clauses(self):
+        # Repeated literals, tautologies and empty clauses, as given: the
+        # formula keeps their truth table and survives DIMACS unchanged.
+        rng = random.Random(27)
+        for _ in range(300):
+            num_vars = rng.randint(1, 8)
+            given = []
+            for _ in range(rng.randint(0, 6)):
+                width = rng.choice((0, 1, 2, 3, 4, 5))
+                given.append([rng.choice((1, -1)) * rng.randint(1, num_vars)
+                              for _ in range(width)])
+            formula = CnfFormula(num_vars=num_vars, clauses=given)
+            assert parse_dimacs(emit_dimacs(formula)) == formula
+            assert truth_table_mask(formula) == clauses_truth_table(num_vars, given)

@@ -4,8 +4,8 @@ The enumeration oracle stops at 25 variables, but which model a query
 starts from, which soft literal a query takes first and which features are
 still open all depend on order, so an order-dependent bug could show only
 on large models. Each check here changes a 1,000-feature Kconfig-shaped
-model in a way that, by the definitions, leaves its classification and
-relations as they were (Segura, Hierons, Benavides & Ruiz-Cortes,
+model in a way whose effect on its classification and relations follows
+from the definitions (Segura, Hierons, Benavides & Ruiz-Cortes,
 "Automated metamorphic testing on the analyses of feature models", IST
 53(3), 2011), and compares the two extractions.
 """
@@ -136,3 +136,25 @@ def test_a_feature_and_its_copy(models, index):
     )
     assert extract_strong_relations(copied) == (expected_classification, expected)
     assert x in linked
+
+
+@pytest.mark.parametrize("pick", ["conflicts_with", "depends_on"])
+@pytest.mark.parametrize("index", range(len(SEEDS)))
+def test_fixing_a_feature(models, index, pick):
+    # Add the unit clause for a configurable v. Then v and everything it
+    # depends on become core, everything it conflicts with becomes dead,
+    # and the relations among the features left configurable stay. v is the
+    # feature with the most relations of the picked kind, the lowest on ties.
+    formula, (classification, relations) = models[index]
+    v = max(sorted(relations), key=lambda f: len(getattr(relations[f], pick)))
+    deps, conflicts = relations[v].depends_on, relations[v].conflicts_with
+    assert getattr(relations[v], pick)
+    fixed = CnfFormula(num_vars=formula.num_vars, clauses=formula.clauses + ((v,),))
+    new_classification, new_relations = extract_strong_relations(fixed)
+    assert new_classification.core == classification.core | {v} | deps
+    assert new_classification.dead == classification.dead | conflicts
+    left = classification.configurable - {v} - deps - conflicts
+    assert new_classification.configurable == left
+    for g in left:
+        assert relations[g].depends_on & left <= new_relations[g].depends_on
+        assert relations[g].conflicts_with & left <= new_relations[g].conflicts_with

@@ -56,9 +56,9 @@ class TestEnumerateModels:
         formula = CnfFormula(num_vars=1, clauses=((1,), (-1,)))
         assert list(enumerate_models(formula)) == []
 
-    def test_trivially_unsat_yields_nothing(self):
-        for clauses in ((), ((1, 2),)):
-            formula = CnfFormula(num_vars=2, clauses=clauses, trivially_unsat=True)
+    def test_empty_clause_yields_nothing(self):
+        for clauses in (((),), ((1, 2), ()), ((), (1, 2))):
+            formula = CnfFormula(num_vars=2, clauses=clauses)
             assert list(enumerate_models(formula)) == []
 
     def test_tautology_and_duplicated_literal(self):
@@ -218,11 +218,11 @@ class TestValidateModel:
         with pytest.raises(ValueError, match="sample_size"):
             validate_model(formula, graphs, sample_size=0)
 
-    def test_trivially_unsat_rejected(self):
+    def test_empty_clause_rejected(self):
         formula = CnfFormula(num_vars=1, clauses=((1,),))
         graphs = compute_strong_graphs(formula)
-        broken = CnfFormula(num_vars=1, clauses=(), trivially_unsat=True)
-        with pytest.raises(VoidModelError):
+        broken = CnfFormula(num_vars=1, clauses=((1,), ()))
+        with pytest.raises(VoidModelError, match="empty clause"):
             validate_model(broken, graphs)
 
     def test_each_mutation_kind_on_fixture(self, coreboot_formula):

@@ -58,8 +58,8 @@ class TestSolve:
         formula = CnfFormula(num_vars=1, clauses=((1,), (-1,)))
         assert SatEngine(formula).solve().status is Status.UNSAT
 
-    def test_trivially_unsat(self):
-        formula = CnfFormula(num_vars=1, clauses=(), trivially_unsat=True)
+    def test_empty_clause(self):
+        formula = CnfFormula(num_vars=1, clauses=((1,), ()))
         assert SatEngine(formula).solve().status is Status.UNSAT
 
     def test_zero_vars_sat(self):
@@ -371,10 +371,11 @@ class TestRepair:
         assert engine.solve((), (0b110, 0)).model == 0b110
         assert engine.solve((), (0b100, 0b110)).model == 0b100
 
-    def test_random_queries_against_truth_table(self):
+    def test_random_queries_against_truth_table(self, search_log):
         # One engine per formula answers a run of assumption queries: the
         # status is the truth table's, and every model satisfies every
-        # clause and every assumption, whichever route found it.
+        # clause and every assumption, whichever route found it. Only a
+        # search says UNSAT, unless an earlier one left the root unsatisfiable.
         rng = random.Random(1505)
         repaired = searched = 0
         for _ in range(150):
@@ -385,7 +386,7 @@ class TestRepair:
                 picked = rng.choices(range(1, num_vars + 1), k=rng.randint(0, 4))
                 assumptions = tuple(v if rng.random() < 0.5 else -v for v in picked)
                 rows = conditioned(formula, assumptions)
-                repairs = engine.num_repairs
+                searches = len(search_log)
                 outcome = engine.solve(assumptions)
                 assert (outcome.status is Status.SAT) == (rows != 0), assumptions
                 if rows:
@@ -393,33 +394,34 @@ class TestRepair:
                     assert outcome.model >> (num_vars + 1) == 0
                     assert satisfies(outcome.model, formula)
                     assert all((outcome.model >> abs(a) & 1) == (a > 0) for a in assumptions)
-                    repaired += engine.num_repairs - repairs
-                    searched += engine.num_repairs == repairs
+                    assert search_log[searches:] in ([], [True])
+                    repaired += len(search_log) == searches
+                    searched += len(search_log) > searches
                 else:
-                    assert engine.num_repairs == repairs
+                    assert search_log[searches:] == [False] or not engine._ok
         assert repaired > 200 and searched > 100
 
-    def test_all_fixed_false_clause_falls_back(self):
+    def test_all_fixed_false_clause_falls_back(self, search_log):
         # From the all-false model, assuming 1 and 4 makes (-1, 2, 3) false;
         # the repair flips 2, its first free literal, which makes (-2, -4)
         # false with both variables fixed. The search then finds 3 instead.
         formula = CnfFormula(num_vars=4, clauses=((-1, 2, 3), (-2, -4)))
         engine = SatEngine(formula)
         assert engine.solve((-1, -2, -3, -4)).model == 0
-        repairs = engine.num_repairs
+        assert search_log == [True]
         outcome = engine.solve((1, 4))
-        assert engine.num_repairs == repairs
+        assert search_log == [True, True]
         assert outcome.status is Status.SAT
         assert outcome.model == bits(1, 3, 4)
         # A false clause over assumptions alone falls back to an UNSAT search.
         assert engine.solve((2, 4)).status is Status.UNSAT
-        assert engine.num_repairs == repairs
+        assert search_log == [True, True, False]
         # The search's model is the next starting point.
         outcome = engine.solve((1,))
-        assert engine.num_repairs == repairs + 1
+        assert search_log == [True, True, False]
         assert outcome.model == bits(1, 3, 4)
 
-    def test_decision_heap_stays_bounded(self, monkeypatch):
+    def test_decision_heap_stays_bounded(self, monkeypatch, solve_log, search_log):
         # Each return to the root puts every freed variable on the lazy
         # decision heap, and only the search takes entries off it, so a
         # run of repaired answers must not let stale entries pile up.
@@ -435,7 +437,9 @@ class TestRepair:
         monkeypatch.setattr(strong_graphs, "SatEngine", Recorded)
         strong_graphs.extract_strong_relations(formula)
         (engine,) = engines
-        assert engine.num_repairs > 100
+        # A search that finds a model stands behind one SAT answer; a walk, the rest.
+        walked = sum(outcome.status is Status.SAT for *_, outcome in solve_log) - sum(search_log)
+        assert walked > 100
         entries = len(engine._heap)
         assert entries <= 3 * (engine.num_vars + 1), entries
 
@@ -445,7 +449,7 @@ class TestRarelyReachedPaths:
     the benchmark workloads never reach, forced by lowering their thresholds."""
 
     @staticmethod
-    def solve_random(seed):
+    def solve_random(seed, search_log):
         # Near the 3-SAT threshold, with assumptions, against the truth table.
         rng = random.Random(seed)
         engines = []
@@ -458,19 +462,19 @@ class TestRarelyReachedPaths:
                 picked = rng.sample(range(1, num_vars + 1), rng.randint(0, 3))
                 assumptions = tuple(v if rng.random() < 0.5 else -v for v in picked)
                 rows = conditioned(formula, assumptions)
-                repairs = engine.num_repairs
+                searches = len(search_log)
                 outcome = engine.solve(assumptions)
                 assert (outcome.status is Status.SAT) == (rows != 0), assumptions
                 if rows:
                     assert satisfies(outcome.model, formula)
                     assert all((outcome.model >> abs(a) & 1) == (a > 0) for a in assumptions)
-                    if engine.num_repairs == repairs:
+                    if len(search_log) > searches:
                         # The search's decision heap ran empty only once
                         # every variable was set.
                         assert sat._UNASSIGNED not in engine._values[1:]
         return engines
 
-    def test_restarts(self, monkeypatch):
+    def test_restarts(self, monkeypatch, search_log):
         luby_terms, real_luby = [], sat._luby
 
         def luby(i):
@@ -479,7 +483,7 @@ class TestRarelyReachedPaths:
 
         monkeypatch.setattr(sat, "_RESTART_BASE", 1)
         monkeypatch.setattr(sat, "_luby", luby)
-        self.solve_random(606)
+        self.solve_random(606, search_log)
         # Each solve asks for term 1 once; every later term is one restart.
         assert sum(i > 1 for i in luby_terms) > 400
 
@@ -496,9 +500,9 @@ class TestRarelyReachedPaths:
         assert terms[:15] == [1, 1, 2, 1, 1, 2, 4, 1, 1, 2, 1, 1, 2, 4, 8]
         assert terms == [luby(i) for i in range(1, 64)]
 
-    def test_activity_rescale(self, monkeypatch):
+    def test_activity_rescale(self, monkeypatch, search_log):
         monkeypatch.setattr(sat, "_ACTIVITY_LIMIT", 4.0)
-        engines = self.solve_random(707)
+        engines = self.solve_random(707, search_log)
         # The increment only grows, except when a rescale shrinks it.
         assert sum(engine._activity_inc < 1.0 for engine in engines) > 80
 

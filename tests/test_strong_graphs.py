@@ -44,8 +44,8 @@ class TestExtraction:
         with pytest.raises(VoidModelError):
             extract_strong_relations(formula)
 
-    def test_trivially_unsat_raises(self):
-        formula = CnfFormula(num_vars=1, clauses=(), trivially_unsat=True)
+    def test_empty_clause_raises(self):
+        formula = CnfFormula(num_vars=1, clauses=((),))
         with pytest.raises(VoidModelError, match="empty clause"):
             extract_strong_relations(formula)
 
