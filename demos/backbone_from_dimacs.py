@@ -54,15 +54,16 @@ def main() -> None:
     print("cross-checked against the enumeration: consistent")
 
     # what selecting EXTRA forces beyond the backbone
-    classification, relations = extract_strong_relations(formula)
+    classification, (arcs, edges) = extract_strong_relations(formula)
     print(f"\nconfigurable: {show(formula, classification.configurable)}")
-    extra = relations[3]
-    print(f"EXTRA depends_on: {show(formula, extra.depends_on)}")
-    print(f"EXTRA conflicts_with: {show(formula, extra.conflicts_with)}")
+    depends_on = {g for v, g in arcs if v == 3}
+    conflicts_with = {b if a == 3 else a for a, b in edges if 3 in (a, b)}
+    print(f"EXTRA depends_on: {show(formula, depends_on)}")
+    print(f"EXTRA conflicts_with: {show(formula, conflicts_with)}")
     for model in models:
         if model >> 3 & 1:
-            assert all(model >> g & 1 for g in extra.depends_on)
-            assert not any(model >> g & 1 for g in extra.conflicts_with)
+            assert all(model >> g & 1 for g in depends_on)
+            assert not any(model >> g & 1 for g in conflicts_with)
     print("every assignment selecting EXTRA agrees")
 
 

@@ -44,7 +44,6 @@ from .strong_graphs import (
     Backbone,
     FeatureClassification,
     StrongGraphs,
-    StrongRelations,
     build_strong_graphs,
     compute_backbone,
     compute_strong_graphs,
@@ -74,7 +73,6 @@ __all__ = [
     "StatsSummary",
     "Status",
     "StrongGraphs",
-    "StrongRelations",
     "ValidationReport",
     "VoidModelError",
     "WilcoxonResult",

@@ -38,7 +38,7 @@ from .export import FORMATS as EXPORT_FORMATS
 from .export import export_graph, graphs_from_json
 from .metrics import DEFAULT_THRESHOLD_PCT, compute_model_metrics
 from .oracle import oracle_strong_relations, validate_model
-from .strong_graphs import build_strong_graphs, compute_strong_graphs, extract_strong_relations
+from .strong_graphs import compute_strong_graphs, extract_strong_relations
 
 EXIT_OK = 0
 EXIT_DISAGREEMENT = 1
@@ -143,22 +143,19 @@ def _cmd_validate(args) -> int:
 
 def _cmd_oracle(args) -> int:
     formula = load_formula(args.file, args.format)
-    classification, oracle_relations = oracle_strong_relations(
-        formula, var_limit=args.var_limit
-    )
-    extracted_classification, extracted = extract_strong_relations(formula)
-    graphs = build_strong_graphs(classification, oracle_relations, names=formula.names)
-    agrees = extracted == oracle_relations and extracted_classification == classification
+    oracle = oracle_strong_relations(formula, var_limit=args.var_limit)
+    agrees = extract_strong_relations(formula) == oracle
+    classification, (arcs, edges) = oracle
+
+    def named(pairs):
+        return sorted([formula.name_of(a), formula.name_of(b)] for a, b in pairs)
+
     payload = {
         "model": str(args.file),
         "core": sorted(formula.name_of(v) for v in classification.core),
         "dead": sorted(formula.name_of(v) for v in classification.dead),
-        "arcs": sorted(
-            [graphs.name_of(a), graphs.name_of(b)] for a, b in graphs.dep_arcs
-        ),
-        "conflict_edges": sorted(
-            [graphs.name_of(a), graphs.name_of(b)] for a, b in graphs.conflict_edges
-        ),
+        "arcs": named(arcs),
+        "conflict_edges": named(edges),
         "agrees_with_extraction": agrees,
     }
     json.dump(payload, sys.stdout, indent=2, sort_keys=True)

@@ -150,6 +150,8 @@ def graphs_from_json(text: str) -> StrongGraphs:
             raise ValueError("an arc or conflict edge has an endpoint that is not a node")
         if any(a == b for a, b in arcs) or any(a >= b for a, b in edges):
             raise ValueError("a self-loop arc, or a conflict edge not written as [low, high]")
+        if len(arcs) != len(payload["arcs"]) or len(edges) != len(payload["conflict_edges"]):
+            raise ValueError("an arc or conflict edge is listed twice")
         classification = FeatureClassification(
             num_vars=num_vars,
             core=groups["core"],

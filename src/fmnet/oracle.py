@@ -25,7 +25,7 @@ from typing import Iterator
 from .cnf import CnfFormula
 from .errors import EnumerationLimitError, VoidModelError
 from .sat import SatEngine, Status
-from .strong_graphs import FeatureClassification, StrongGraphs, StrongRelations
+from .strong_graphs import Arc, FeatureClassification, StrongGraphs
 
 _PARTIAL_ABSENCE_CAP = 10
 
@@ -94,8 +94,9 @@ def _propagate(clauses: list[tuple[int, int]], true: int, false: int) -> tuple[i
 
 def oracle_strong_relations(
     formula: CnfFormula, var_limit: int = 25
-) -> tuple[FeatureClassification, dict[int, StrongRelations]]:
-    """Relations derived from the full model set of a small formula.
+) -> tuple[FeatureClassification, tuple[frozenset[Arc], frozenset[Arc]]]:
+    """Classification, dependency arcs ``(v, g)`` and conflict edges
+    ``(low, high)`` derived from the full model set of a small formula.
 
     A feature is core when true in every model, dead when true in none; a
     configurable feature depends on whatever is true in all models selecting
@@ -125,13 +126,11 @@ def oracle_strong_relations(
         num_vars=n, core=core, dead=dead, configurable=configurable
     )
 
-    relations = {}
-    for v in sorted(configurable):
-        relations[v] = StrongRelations(
-            depends_on=frozenset(g for g in configurable if g != v and inter[v] >> g & 1),
-            conflicts_with=frozenset(g for g in configurable if not union[v] >> g & 1),
-        )
-    return classification, relations
+    arcs = frozenset((v, g) for v in configurable for g in configurable
+                     if g != v and inter[v] >> g & 1)
+    edges = frozenset((v, g) for v in configurable for g in configurable
+                      if v < g and not union[v] >> g & 1)
+    return classification, (arcs, edges)
 
 
 @dataclass(frozen=True)

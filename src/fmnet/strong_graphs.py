@@ -19,7 +19,7 @@ other open candidate negated as a soft literal. A model keeps as many soft
 literals as the solver's walk can add and so refutes the candidate and all
 of those at once; through the caller's ``witness`` it also refutes the
 candidates of every feature it selects. The backbone's models are replayed
-as witnesses before the per-feature search. Refuting many candidates with
+as witnesses before any feature's search. Refuting many candidates with
 one model follows the chunking of Janota, Lynce & Marques-Silva,
 "Algorithms for computing backbones of propositional formulae" (AI
 Communications 28(2), 2015), with soft literals in place of selector
@@ -77,14 +77,6 @@ class FeatureClassification:
             len(self.core) + len(self.dead) + len(self.configurable) != len(universe)
         ):
             raise ValueError("core/dead/configurable do not partition the variables")
-
-
-@dataclass(frozen=True)
-class StrongRelations:
-    """What selecting one configurable feature forces about the others."""
-
-    depends_on: frozenset[int]
-    conflicts_with: frozenset[int]
 
 
 @dataclass(frozen=True)
@@ -180,8 +172,9 @@ def compute_backbone(engine: SatEngine) -> Backbone:
 
 def extract_strong_relations(
     formula: CnfFormula,
-) -> tuple[FeatureClassification, dict[int, StrongRelations]]:
-    """Classify features and compute per-feature strong relations.
+) -> tuple[FeatureClassification, tuple[frozenset[Arc], frozenset[Arc]]]:
+    """Classify features and compute the dependency arcs ``(v, g)`` and the
+    conflict edges ``(low, high)`` between configurable features.
 
     Raises VoidModelError for an unsatisfiable formula.
     """
@@ -198,11 +191,10 @@ def extract_strong_relations(
 
     order = sorted(configurable)
     everyone = sum(1 << v for v in order)
-    # Bitmasks per feature: relations still open, and relations proven.
+    # Per feature, the bitmasks of the relations still open.
     open_deps = {v: everyone & ~(1 << v) for v in order}
     open_conflicts = dict(open_deps)
-    deps = dict.fromkeys(order, 0)
-    conflicts = dict.fromkeys(order, 0)
+    arcs, edges = [], []
 
     # The features whose turn is still to come: only their open masks are
     # read again, so a witness updates only them.
@@ -217,46 +209,26 @@ def extract_strong_relations(
         witness(model)
     for v in order:
         pending ^= 1 << v
-        deps[v], found = _forced(engine, (v,), open_deps[v], open_conflicts[v], witness)
-        # Conflicts are symmetric: each one found is proven for g as well.
-        conflicts[v] |= found
-        for g in members(found):
-            conflicts[g] |= 1 << v
+        deps, conflicts = _forced(engine, (v,), open_deps[v], open_conflicts[v], witness)
+        arcs += [(v, g) for g in members(deps)]
+        for g in members(conflicts):
+            # g > v: each lower feature settled its conflict with v on its
+            # turn, here or by a witness selecting both. Conflicts are
+            # symmetric, so g need not settle this one again.
+            edges.append((v, g))
             open_conflicts[g] &= ~(1 << v)
-
-    relations = {
-        v: StrongRelations(
-            depends_on=frozenset(members(deps[v])),
-            conflicts_with=frozenset(members(conflicts[v])),
-        )
-        for v in order
-    }
-    return classification, relations
+    return classification, (frozenset(arcs), frozenset(edges))
 
 
 def build_strong_graphs(
     classification: FeatureClassification,
-    relations: Mapping[int, StrongRelations],
+    relations: tuple[frozenset[Arc], frozenset[Arc]],
     *,
     names: Mapping[int, str] | None = None,
 ) -> StrongGraphs:
-    """Assemble the two graphs from per-feature relations.
-
-    Symmetric conflict pairs are deduplicated into canonical unordered edges.
-    """
-    arcs = set()
-    edges = set()
-    for v, rel in relations.items():
-        for g in rel.depends_on:
-            arcs.add((v, g))
-        for g in rel.conflicts_with:
-            edges.add((v, g) if v < g else (g, v))
-    return StrongGraphs(
-        dep_arcs=frozenset(arcs),
-        conflict_edges=frozenset(edges),
-        classification=classification,
-        names=dict(names) if names else {},
-    )
+    """Attach the classification and the names to the arcs and edges."""
+    dep_arcs, conflict_edges = relations
+    return StrongGraphs(dep_arcs, conflict_edges, classification, dict(names) if names else {})
 
 
 def compute_strong_graphs(formula: CnfFormula) -> StrongGraphs:

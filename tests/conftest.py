@@ -21,7 +21,7 @@ import pytest
 from fmnet.cnf import CnfFormula
 from fmnet.fixtures import coreboot_graphics_formula
 from fmnet.sat import SatEngine
-from fmnet.strong_graphs import FeatureClassification, StrongRelations
+from fmnet.strong_graphs import Arc, FeatureClassification
 
 
 def perfbench_gen():
@@ -111,8 +111,9 @@ def tt_backbone_literals(formula: CnfFormula) -> frozenset[int]:
 
 def tt_strong_relations(
     formula: CnfFormula,
-) -> tuple[FeatureClassification, dict[int, StrongRelations]]:
-    """Classification and relations read straight off the truth table."""
+) -> tuple[FeatureClassification, tuple[frozenset[Arc], frozenset[Arc]]]:
+    """Classification, dependency arcs and conflict edges read straight off
+    the truth table."""
     mask = truth_table_mask(formula)
     assert mask, "truth-table relations need a satisfiable formula"
     n = formula.num_vars
@@ -122,22 +123,15 @@ def tt_strong_relations(
     core = frozenset(v for v in range(1, n + 1) if mask & ~columns[v] & full == 0)
     dead = frozenset(v for v in range(1, n + 1) if mask & columns[v] == 0)
     configurable = frozenset(set(range(1, n + 1)) - core - dead)
-    relations = {}
-    for v in sorted(configurable):
-        selecting = mask & columns[v]
-        relations[v] = StrongRelations(
-            depends_on=frozenset(
-                g for g in configurable
-                if g != v and selecting & ~columns[g] & full == 0
-            ),
-            conflicts_with=frozenset(
-                g for g in configurable if selecting & columns[g] == 0
-            ),
-        )
+    selecting = {v: mask & columns[v] for v in configurable}
+    arcs = frozenset((v, g) for v in configurable for g in configurable
+                     if g != v and selecting[v] & ~columns[g] & full == 0)
+    edges = frozenset((v, g) for v in configurable for g in configurable
+                      if v < g and selecting[v] & columns[g] == 0)
     classification = FeatureClassification(
         num_vars=n, core=core, dead=dead, configurable=configurable
     )
-    return classification, relations
+    return classification, (arcs, edges)
 
 
 def random_cnf(

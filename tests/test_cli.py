@@ -235,6 +235,8 @@ class TestExport:
         _graphs_text(nodes=[{"index": 1, "name": "A"}, {"index": 2, "name": "A"}]),
         _graphs_text(nodes=[{"index": 1, "name": "a\u0001b"}, {"index": 2, "name": "B"}]),
         _graphs_text(nodes=[{"index": 1, "name": "a b"}, {"index": 2, "name": "B"}]),
+        _graphs_text(arcs=[[1, 2], [1, 2]]),
+        _graphs_text(conflict_edges=[[1, 2], [1, 2]]),
     ])
     def test_not_a_graphs_artifact(self, tmp_path, capsys, text):
         fmnet.graphs_from_json(_graphs_text())  # the sound base payload parses
@@ -293,8 +295,8 @@ class TestOracle:
         real = cli.extract_strong_relations
 
         def corrupted(formula):
-            classification, relations = real(formula)
-            return classification, {}
+            classification, (arcs, edges) = real(formula)
+            return classification, (arcs - {min(arcs)}, edges)
 
         monkeypatch.setattr(cli, "extract_strong_relations", corrupted)
         assert cli.main(["oracle", str(fixture_file)]) == cli.EXIT_DISAGREEMENT

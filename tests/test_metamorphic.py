@@ -11,13 +11,14 @@ from the definitions (Segura, Hierons, Benavides & Ruiz-Cortes,
 """
 
 import random
+from collections import defaultdict
 
 import pytest
 
 from conftest import perfbench_gen
 from fmnet.cnf import CnfFormula
 from fmnet.feature_model import parse_fm_to_cnf
-from fmnet.strong_graphs import FeatureClassification, StrongRelations, extract_strong_relations
+from fmnet.strong_graphs import FeatureClassification, extract_strong_relations
 
 SEEDS = ("metamorphic:1", "metamorphic:2")
 
@@ -32,7 +33,7 @@ def models():
 
 def renumbered(extraction, perm):
     """An extraction with every variable v written as perm[v]."""
-    classification, relations = extraction
+    classification, (arcs, edges) = extraction
     return (
         FeatureClassification(
             num_vars=classification.num_vars,
@@ -40,14 +41,19 @@ def renumbered(extraction, perm):
             dead=frozenset(perm[v] for v in classification.dead),
             configurable=frozenset(perm[v] for v in classification.configurable),
         ),
-        {
-            perm[v]: StrongRelations(
-                depends_on=frozenset(perm[g] for g in rel.depends_on),
-                conflicts_with=frozenset(perm[g] for g in rel.conflicts_with),
-            )
-            for v, rel in relations.items()
-        },
+        (
+            frozenset((perm[v], perm[g]) for v, g in arcs),
+            frozenset((min(perm[a], perm[b]), max(perm[a], perm[b])) for a, b in edges),
+        ),
     )
+
+
+def targets(pairs):
+    """Each feature's set of the features that ``pairs`` lead it to."""
+    found = defaultdict(set)
+    for v, g in pairs:
+        found[v].add(g)
+    return found
 
 
 def resolvent(clauses):
@@ -89,10 +95,9 @@ def test_redundant_clauses_leave_the_graphs(models, index):
     # A resolvent of two clauses and a dependency the model already has,
     # written as a clause, add no constraint, so they change nothing.
     formula, extraction = models[index]
-    _, relations = extraction
+    _, (all_arcs, _) = extraction
     present = {frozenset(c) for c in formula.clauses}
-    arcs = sorted((v, g) for v, rel in relations.items() for g in rel.depends_on
-                  if frozenset((-v, g)) not in present)
+    arcs = sorted((v, g) for v, g in all_arcs if frozenset((-v, g)) not in present)
     assert arcs
     v, g = random.Random(f"redundant:{index}").choice(arcs)
     extra = (resolvent(formula.clauses), (-v, g))
@@ -107,34 +112,25 @@ def test_a_feature_and_its_copy(models, index):
     # changes. X is picked among the features with arcs in and out; a
     # witness applied to a feature the model does not select leaves none,
     # and then the arcs between X and X' are missing.
-    formula, (classification, relations) = models[index]
-    required = {g for rel in relations.values() for g in rel.depends_on}
-    linked = [v for v, rel in relations.items() if rel.depends_on and v in required]
+    formula, (classification, (arcs, edges)) = models[index]
+    linked = {v for v, _ in arcs} & {g for _, g in arcs}
     x = random.Random(f"copy:{index}").choice(sorted(linked or classification.configurable))
     copy = formula.num_vars + 1
     copied = CnfFormula(num_vars=copy, clauses=formula.clauses + ((-x, copy), (x, -copy)))
 
-    def with_copy(group):
-        return group | {copy} if x in group else group
-
-    expected = {
-        v: StrongRelations(
-            depends_on=with_copy(rel.depends_on) | ({copy} if v == x else set()),
-            conflicts_with=with_copy(rel.conflicts_with),
-        )
-        for v, rel in relations.items()
+    expected_arcs = arcs | {(x, copy), (copy, x)} | {
+        (copy, g) if v == x else (v, copy) for v, g in arcs if x in (v, g)
     }
-    expected[copy] = StrongRelations(
-        depends_on=relations[x].depends_on | {x},
-        conflicts_with=relations[x].conflicts_with,
-    )
+    expected_edges = edges | {(a if b == x else b, copy) for a, b in edges if x in (a, b)}
     expected_classification = FeatureClassification(
         num_vars=copy,
         core=classification.core,
         dead=classification.dead,
         configurable=classification.configurable | {copy},
     )
-    assert extract_strong_relations(copied) == (expected_classification, expected)
+    assert extract_strong_relations(copied) == (
+        expected_classification, (expected_arcs, expected_edges)
+    )
     assert x in linked
 
 
@@ -145,16 +141,17 @@ def test_fixing_a_feature(models, index, pick):
     # depends on become core, everything it conflicts with becomes dead,
     # and the relations among the features left configurable stay. v is the
     # feature with the most relations of the picked kind, the lowest on ties.
-    formula, (classification, relations) = models[index]
-    v = max(sorted(relations), key=lambda f: len(getattr(relations[f], pick)))
-    deps, conflicts = relations[v].depends_on, relations[v].conflicts_with
-    assert getattr(relations[v], pick)
+    formula, (classification, (arcs, edges)) = models[index]
+    related = {"depends_on": targets(arcs),
+               "conflicts_with": targets(edges | {(b, a) for a, b in edges})}
+    v = max(sorted(classification.configurable), key=lambda f: len(related[pick][f]))
+    deps, conflicts = related["depends_on"][v], related["conflicts_with"][v]
+    assert related[pick][v]
     fixed = CnfFormula(num_vars=formula.num_vars, clauses=formula.clauses + ((v,),))
-    new_classification, new_relations = extract_strong_relations(fixed)
+    new_classification, (new_arcs, new_edges) = extract_strong_relations(fixed)
     assert new_classification.core == classification.core | {v} | deps
     assert new_classification.dead == classification.dead | conflicts
     left = classification.configurable - {v} - deps - conflicts
     assert new_classification.configurable == left
-    for g in left:
-        assert relations[g].depends_on & left <= new_relations[g].depends_on
-        assert relations[g].conflicts_with & left <= new_relations[g].conflicts_with
+    assert {(a, b) for a, b in arcs if a in left and b in left} <= new_arcs
+    assert {(a, b) for a, b in edges if a in left and b in left} <= new_edges

@@ -1,18 +1,22 @@
-"""The benchmark's tracing still finds every fmnet call it wraps.
+"""The benchmark still finds every fmnet call it makes or wraps.
 
 ``perfbench/tracing.py`` records spans by replacing functions where fmnet
 looks them up. A rename or a moved function would make it fail at set-up
 or, worse, silently record nothing; these tests load it as it stands and
-check both.
+check both. ``perfbench/run.py`` checks each corpus model's graphs
+against the enumeration oracle through the public API; the last test
+evaluates that expression.
 """
 
 import importlib.util
 import pathlib
+import random
 
 import pytest
 
 import fmnet
 import fmnet.corpus
+from conftest import random_satisfiable_cnf
 from fmnet.fixtures import coreboot_graphics_text
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -65,3 +69,17 @@ def test_traced_validate_model(tracing, coreboot_formula):
     assert metrics["oracle.checked_edges"] == 66
     # One solve per check: 3 core + 2 x 12 nodes + 132 arcs + 66 edges.
     assert metrics["oracle.solves"] == 225
+
+
+def test_oracle_graphs_match_extraction(coreboot_formula):
+    # CorpusTiny.check's route to the expected graphs.
+    def key(graphs):
+        return graphs.classification, graphs.dep_arcs, graphs.conflict_edges
+
+    rng = random.Random(28)
+    formulas = [coreboot_formula] + [
+        random_satisfiable_cnf(rng, rng.randint(2, 12), rng.uniform(1.5, 3.5)) for _ in range(40)
+    ]
+    for formula in formulas:
+        oracle = fmnet.build_strong_graphs(*fmnet.oracle_strong_relations(formula))
+        assert key(oracle) == key(fmnet.compute_strong_graphs(formula))

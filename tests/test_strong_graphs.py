@@ -9,7 +9,6 @@ from fmnet.errors import VoidModelError
 from fmnet.sat import SatEngine, Status
 from fmnet.strong_graphs import (
     FeatureClassification,
-    StrongRelations,
     build_strong_graphs,
     compute_backbone,
     compute_strong_graphs,
@@ -54,14 +53,12 @@ class TestExtraction:
         formula = CnfFormula(
             num_vars=4, clauses=((1,), (-3, 2), (-4, -2), (2, 4))
         )
-        classification, relations = extract_strong_relations(formula)
+        classification, (arcs, edges) = extract_strong_relations(formula)
         assert classification.core == frozenset({1})
         assert classification.dead == frozenset()
-        assert relations[3].depends_on == frozenset({2})
-        assert relations[3].conflicts_with == frozenset({4})
-        assert relations[4].conflicts_with == frozenset({2, 3})
         # Dependency on a core feature is not recorded: it is trivial.
-        assert all(1 not in r.depends_on for r in relations.values())
+        assert arcs == frozenset({(3, 2)})
+        assert edges == frozenset({(2, 4), (3, 4)})
 
     def test_matches_truth_table_relations(self):
         rng = random.Random(404)
@@ -88,8 +85,8 @@ class TestExtractionRoutes:
         formula = CnfFormula(num_vars=4, clauses=((-v, a, b), (-a, g), (-b, g)))
         implied_true, _ = SatEngine(formula).implied_literals((v,))
         assert not implied_true >> g & 1
-        _, relations = extract_strong_relations(formula)
-        assert relations[v].depends_on == frozenset({g})
+        _, (arcs, _) = extract_strong_relations(formula)
+        assert {target for source, target in arcs if source == v} == {g}
         assert ((v, -g), Status.UNSAT) in pair_queries(solve_log)
 
     def test_conflict_settled_by_a_query(self, solve_log):
@@ -98,9 +95,8 @@ class TestExtractionRoutes:
         formula = CnfFormula(num_vars=4, clauses=((-v, a, b), (-a, -g), (-b, -g)))
         _, implied_false = SatEngine(formula).implied_literals((v,))
         assert not implied_false >> g & 1
-        _, relations = extract_strong_relations(formula)
-        assert relations[v].conflicts_with == frozenset({g})
-        assert relations[g].conflicts_with == frozenset({v, a, b})
+        _, (_, edges) = extract_strong_relations(formula)
+        assert edges == frozenset({(v, g), (a, g), (b, g)})
         assert ((v, g), Status.UNSAT) in pair_queries(solve_log)
 
     def test_propagated_relations_need_no_query(self, solve_log):
@@ -119,7 +115,7 @@ class TestExtractionRoutes:
         # a number of queries that grows linearly, not with the pairs.
         n = 20
         _, relations = extract_strong_relations(CnfFormula(num_vars=n, clauses=()))
-        assert all(rel == StrongRelations(frozenset(), frozenset()) for rel in relations.values())
+        assert relations == (frozenset(), frozenset())
         assert len(pair_queries(solve_log)) <= 2 * n
 
     def test_backbone_models_refute_without_a_query(self, monkeypatch, solve_log):
@@ -136,7 +132,7 @@ class TestExtractionRoutes:
         monkeypatch.setattr(strong_graphs, "compute_backbone", recording)
         n = 8
         _, relations = extract_strong_relations(CnfFormula(num_vars=n, clauses=()))
-        assert all(rel == StrongRelations(frozenset(), frozenset()) for rel in relations.values())
+        assert relations == (frozenset(), frozenset())
 
         def refuted(v, g, conflict):
             return any(mask >> v & 1 and (mask >> g & 1) == conflict for mask in found)
@@ -172,7 +168,7 @@ class TestExtractionRoutes:
         assert backbone.literals == frozenset({6})
         classification, relations = extract_strong_relations(formula)
         assert (classification, relations) == tt_strong_relations(formula)
-        assert relations[7].depends_on == frozenset({1})
+        assert {target for source, target in relations[0] if source == 7} == {1}
 
     def test_a_query_refutes_both_kinds_at_once(self, monkeypatch, solve_log):
         # 1 is core and 2 | 3 holds; 4..11 are free. The first model sets
@@ -222,11 +218,7 @@ class TestBuildStrongGraphs:
         classification = FeatureClassification(
             num_vars=3, core=frozenset({1}), dead=frozenset(), configurable=frozenset({2, 3})
         )
-        relations = {
-            2: StrongRelations(frozenset(), frozenset({3})),
-            3: StrongRelations(frozenset(), frozenset({2})),
-        }
-        graphs = build_strong_graphs(classification, relations)
+        graphs = build_strong_graphs(classification, (frozenset(), frozenset({(2, 3)})))
         assert graphs.nodes == frozenset({2, 3})
         assert graphs.dep_arcs == frozenset()
         assert graphs.conflict_edges == frozenset({(2, 3)})
